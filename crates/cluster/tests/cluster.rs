@@ -813,3 +813,230 @@ fn cluster_history_shows_the_warmup_hit_rate_climb() {
 
     fleet.shutdown();
 }
+
+/// Every key path of a JSON document in document order: map keys as
+/// `parent.key`, sequence elements under `parent[]` (the union of the
+/// elements' paths, first seen first).
+fn key_tree(value: &Value, prefix: &str, out: &mut Vec<String>) {
+    match value {
+        Value::Map(entries) => {
+            for (key, child) in entries {
+                let path = if prefix.is_empty() {
+                    key.clone()
+                } else {
+                    format!("{prefix}.{key}")
+                };
+                if !out.contains(&path) {
+                    out.push(path.clone());
+                }
+                key_tree(child, &path, out);
+            }
+        }
+        Value::Seq(items) => {
+            for item in items {
+                key_tree(item, &format!("{prefix}[]"), out);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Asserts an ordered name list, printing the actual list one quoted
+/// name per line on mismatch.
+fn assert_names(what: &str, got: &[String], want: &[&str]) {
+    assert_eq!(
+        got,
+        want,
+        "{what} drifted; actual list:\n{}",
+        got.iter()
+            .map(|s| format!("{s:?},"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+}
+
+/// Pins the gateway's exposition schema: the ordered `/metrics/history`
+/// series names, the `/cluster/stats` key tree (with key order), and
+/// the ordered `/metrics` `# TYPE` lines over a healthy two-worker
+/// fleet.
+#[test]
+fn gateway_exposition_schema_is_pinned() {
+    let fleet = fleet(2);
+    let mut conn = Connection::open(&fleet.gateway_addr().to_string()).expect("open gateway");
+
+    let resp = conn.request("GET", "/metrics/history", None).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let history = serde::json::parse(&resp.body).expect("history JSON");
+    let series: Vec<String> = history
+        .get("series")
+        .and_then(|s| s.as_map())
+        .expect("series map")
+        .iter()
+        .map(|(name, _)| name.clone())
+        .collect();
+    assert_names(
+        "gateway history series",
+        &series,
+        &[
+            "req_per_s",
+            "err_per_s",
+            "healthz.req_per_s",
+            "healthz.p50_ms",
+            "healthz.p99_ms",
+            "cluster_stats.req_per_s",
+            "cluster_stats.p50_ms",
+            "cluster_stats.p99_ms",
+            "metrics.req_per_s",
+            "metrics.p50_ms",
+            "metrics.p99_ms",
+            "simulate.req_per_s",
+            "simulate.p50_ms",
+            "simulate.p99_ms",
+            "grid.req_per_s",
+            "grid.p50_ms",
+            "grid.p99_ms",
+            "debug.req_per_s",
+            "debug.p50_ms",
+            "debug.p99_ms",
+            "other.req_per_s",
+            "other.p50_ms",
+            "other.p99_ms",
+            "conns.open",
+            "conns.shed_per_s",
+            "conns.timeouts_per_s",
+            "fleet.failovers_per_s",
+            "fleet.retries_per_s",
+            "fleet.workers_up",
+            "rss_bytes",
+            "uptime_seconds",
+        ],
+    );
+
+    let resp = conn.request("GET", "/cluster/stats", None).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let mut tree = Vec::new();
+    key_tree(
+        &serde::json::parse(&resp.body).expect("stats JSON"),
+        "",
+        &mut tree,
+    );
+    assert_names(
+        "gateway /cluster/stats key tree",
+        &tree,
+        &[
+            "service",
+            "uptime_seconds",
+            "build",
+            "build.version",
+            "build.id",
+            "gateway",
+            "gateway.requests",
+            "gateway.requests.healthz",
+            "gateway.requests.cluster_stats",
+            "gateway.requests.metrics",
+            "gateway.requests.simulate",
+            "gateway.requests.grid",
+            "gateway.requests.debug",
+            "gateway.requests.errors",
+            "gateway.connections",
+            "gateway.connections.open",
+            "gateway.connections.accepted",
+            "gateway.connections.shed",
+            "gateway.connections.request_timeouts",
+            "gateway.connections.idle_closed",
+            "gateway.failovers",
+            "gateway.retries",
+            "fleet",
+            "fleet.workers",
+            "fleet.up",
+            "fleet.entries",
+            "fleet.hits",
+            "fleet.misses",
+            "fleet.evictions",
+            "workers",
+            "workers[].index",
+            "workers[].addr",
+            "workers[].answered",
+            "workers[].failures",
+            "workers[].up",
+            "workers[].stats",
+            "workers[].stats.service",
+            "workers[].stats.uptime_seconds",
+            "workers[].stats.build",
+            "workers[].stats.build.version",
+            "workers[].stats.build.id",
+            "workers[].stats.simulation_threads",
+            "workers[].stats.store",
+            "workers[].stats.store.hits",
+            "workers[].stats.store.misses",
+            "workers[].stats.store.evictions",
+            "workers[].stats.store.dedup_waits",
+            "workers[].stats.store.in_flight",
+            "workers[].stats.store.entries",
+            "workers[].stats.store.capacity",
+            "workers[].stats.store.warm_loaded",
+            "workers[].stats.store.hit_rate",
+            "workers[].stats.store.shards",
+            "workers[].stats.store.shard_entries",
+            "workers[].stats.store.shard_imbalance",
+            "workers[].stats.store.stages",
+            "workers[].stats.store.stages[].stage",
+            "workers[].stats.store.stages[].hits",
+            "workers[].stats.store.stages[].misses",
+            "workers[].stats.store.stages[].evictions",
+            "workers[].stats.store.stages[].entries",
+            "workers[].stats.store.stages[].capacity",
+            "workers[].stats.store.stages[].hit_rate",
+            "workers[].stats.requests",
+            "workers[].stats.requests.healthz",
+            "workers[].stats.requests.stats",
+            "workers[].stats.requests.metrics",
+            "workers[].stats.requests.simulate",
+            "workers[].stats.requests.grid",
+            "workers[].stats.requests.debug",
+            "workers[].stats.requests.errors",
+            "workers[].stats.connections",
+            "workers[].stats.connections.open",
+            "workers[].stats.connections.accepted",
+            "workers[].stats.connections.shed",
+            "workers[].stats.connections.request_timeouts",
+            "workers[].stats.connections.idle_closed",
+            "workers[].stats.recorder",
+            "workers[].stats.recorder.capacity",
+            "workers[].stats.recorder.recorded",
+        ],
+    );
+
+    let resp = conn.request("GET", "/metrics", None).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let types: Vec<String> = resp
+        .body
+        .lines()
+        .filter(|l| l.starts_with("# TYPE "))
+        .map(String::from)
+        .collect();
+    assert_names(
+        "gateway /metrics TYPE lines",
+        &types,
+        &[
+            "# TYPE mcdla_gateway_up gauge",
+            "# TYPE mcdla_gateway_uptime_seconds gauge",
+            "# TYPE mcdla_build_info gauge",
+            "# TYPE mcdla_gateway_requests_total counter",
+            "# TYPE mcdla_gateway_open_connections gauge",
+            "# TYPE mcdla_gateway_accepted_connections_total counter",
+            "# TYPE mcdla_gateway_requests_shed_total counter",
+            "# TYPE mcdla_gateway_request_timeouts_total counter",
+            "# TYPE mcdla_gateway_idle_connections_closed_total counter",
+            "# TYPE mcdla_gateway_failovers_total counter",
+            "# TYPE mcdla_gateway_retries_total counter",
+            "# TYPE mcdla_gateway_worker_up gauge",
+            "# TYPE mcdla_gateway_worker_answered_total counter",
+            "# TYPE mcdla_gateway_worker_failures_total counter",
+            "# TYPE mcdla_gateway_request_seconds histogram",
+            "# TYPE mcdla_gateway_upstream_seconds histogram",
+        ],
+    );
+
+    fleet.shutdown();
+}

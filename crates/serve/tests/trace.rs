@@ -394,3 +394,213 @@ fn metrics_history_serves_filtered_bounded_monotone_rings() {
 
     handle.shutdown();
 }
+
+/// Every key path of a JSON document in document order: map keys as
+/// `parent.key`, sequence elements under `parent[]` (the union of the
+/// elements' paths, first seen first).
+fn key_tree(value: &Value, prefix: &str, out: &mut Vec<String>) {
+    match value {
+        Value::Map(entries) => {
+            for (key, child) in entries {
+                let path = if prefix.is_empty() {
+                    key.clone()
+                } else {
+                    format!("{prefix}.{key}")
+                };
+                if !out.contains(&path) {
+                    out.push(path.clone());
+                }
+                key_tree(child, &path, out);
+            }
+        }
+        Value::Seq(items) => {
+            for item in items {
+                key_tree(item, &format!("{prefix}[]"), out);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Asserts an ordered name list, printing the actual list one quoted
+/// name per line on mismatch.
+fn assert_names(what: &str, got: &[String], want: &[&str]) {
+    assert_eq!(
+        got,
+        want,
+        "{what} drifted; actual list:\n{}",
+        got.iter()
+            .map(|s| format!("{s:?},"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+}
+
+/// Pins the worker's exposition schema: the ordered `/metrics/history`
+/// series names, the `/stats` key tree (with key order), and the
+/// ordered `/metrics` `# TYPE` lines of a default (unbounded) server.
+#[test]
+fn worker_exposition_schema_is_pinned() {
+    let server = Server::bind(&ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        sample_ms: Some(0),
+        ..ServeConfig::default()
+    })
+    .expect("bind server");
+    let handle = server.spawn().expect("spawn event loop");
+    let mut conn = Connection::open(&handle.addr().to_string()).expect("open");
+
+    let resp = conn.request("GET", "/metrics/history", None).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let history = serde::json::parse(&resp.body).expect("history JSON");
+    let series: Vec<String> = history
+        .get("series")
+        .and_then(|s| s.as_map())
+        .expect("series map")
+        .iter()
+        .map(|(name, _)| name.clone())
+        .collect();
+    assert_names(
+        "worker history series",
+        &series,
+        &[
+            "req_per_s",
+            "err_per_s",
+            "healthz.req_per_s",
+            "healthz.p50_ms",
+            "healthz.p99_ms",
+            "stats.req_per_s",
+            "stats.p50_ms",
+            "stats.p99_ms",
+            "metrics.req_per_s",
+            "metrics.p50_ms",
+            "metrics.p99_ms",
+            "simulate.req_per_s",
+            "simulate.p50_ms",
+            "simulate.p99_ms",
+            "grid.req_per_s",
+            "grid.p50_ms",
+            "grid.p99_ms",
+            "debug.req_per_s",
+            "debug.p50_ms",
+            "debug.p99_ms",
+            "other.req_per_s",
+            "other.p50_ms",
+            "other.p99_ms",
+            "store.hit_rate",
+            "store.hits_per_s",
+            "store.misses_per_s",
+            "store.evictions_per_s",
+            "store.entries",
+            "stage.fabric.hit_rate",
+            "stage.network.hit_rate",
+            "stage.layer_timing.hit_rate",
+            "stage.plan.hit_rate",
+            "stage.schedule.hit_rate",
+            "stage.collective.hit_rate",
+            "stage.sync.hit_rate",
+            "conns.open",
+            "conns.shed_per_s",
+            "conns.timeouts_per_s",
+            "rss_bytes",
+            "uptime_seconds",
+        ],
+    );
+
+    let resp = conn.request("GET", "/stats", None).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let mut tree = Vec::new();
+    key_tree(
+        &serde::json::parse(&resp.body).expect("stats JSON"),
+        "",
+        &mut tree,
+    );
+    assert_names(
+        "worker /stats key tree",
+        &tree,
+        &[
+            "service",
+            "uptime_seconds",
+            "build",
+            "build.version",
+            "build.id",
+            "simulation_threads",
+            "store",
+            "store.hits",
+            "store.misses",
+            "store.evictions",
+            "store.dedup_waits",
+            "store.in_flight",
+            "store.entries",
+            "store.capacity",
+            "store.warm_loaded",
+            "store.hit_rate",
+            "store.shards",
+            "store.shard_entries",
+            "store.shard_imbalance",
+            "store.stages",
+            "store.stages[].stage",
+            "store.stages[].hits",
+            "store.stages[].misses",
+            "store.stages[].evictions",
+            "store.stages[].entries",
+            "store.stages[].capacity",
+            "store.stages[].hit_rate",
+            "requests",
+            "requests.healthz",
+            "requests.stats",
+            "requests.metrics",
+            "requests.simulate",
+            "requests.grid",
+            "requests.debug",
+            "requests.errors",
+            "connections",
+            "connections.open",
+            "connections.accepted",
+            "connections.shed",
+            "connections.request_timeouts",
+            "connections.idle_closed",
+            "recorder",
+            "recorder.capacity",
+            "recorder.recorded",
+        ],
+    );
+
+    let resp = conn.request("GET", "/metrics", None).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let types: Vec<String> = resp
+        .body
+        .lines()
+        .filter(|l| l.starts_with("# TYPE "))
+        .map(String::from)
+        .collect();
+    assert_names(
+        "worker /metrics TYPE lines",
+        &types,
+        &[
+            "# TYPE mcdla_up gauge",
+            "# TYPE mcdla_uptime_seconds gauge",
+            "# TYPE mcdla_build_info gauge",
+            "# TYPE mcdla_requests_total counter",
+            "# TYPE mcdla_open_connections gauge",
+            "# TYPE mcdla_accepted_connections_total counter",
+            "# TYPE mcdla_requests_shed_total counter",
+            "# TYPE mcdla_request_timeouts_total counter",
+            "# TYPE mcdla_idle_connections_closed_total counter",
+            "# TYPE mcdla_store_hits_total counter",
+            "# TYPE mcdla_store_misses_total counter",
+            "# TYPE mcdla_store_evictions_total counter",
+            "# TYPE mcdla_store_dedup_waits_total counter",
+            "# TYPE mcdla_store_in_flight gauge",
+            "# TYPE mcdla_store_entries gauge",
+            "# TYPE mcdla_stage_hits_total counter",
+            "# TYPE mcdla_stage_misses_total counter",
+            "# TYPE mcdla_stage_evictions_total counter",
+            "# TYPE mcdla_stage_entries gauge",
+            "# TYPE mcdla_request_seconds histogram",
+            "# TYPE mcdla_stage_seconds histogram",
+        ],
+    );
+
+    handle.shutdown();
+}
