@@ -14,6 +14,8 @@ use std::time::Duration;
 use mcdla_serve::client::{request_once_with, Timeouts};
 use serde::Value;
 
+use crate::json::{get, series, FleetRings};
+
 /// Everything `mcdla top` configures.
 #[derive(Debug)]
 pub struct TopConfig {
@@ -68,39 +70,28 @@ struct Frame {
     errors: Vec<String>,
 }
 
-/// Navigates a JSON map path.
-fn get<'a>(value: &'a Value, path: &[&str]) -> Option<&'a Value> {
-    let mut current = value;
-    for key in path {
-        let Value::Map(entries) = current else {
-            return None;
-        };
-        current = &entries.iter().find(|(k, _)| k == key)?.1;
-    }
-    Some(current)
-}
-
-/// A JSON scalar as f64.
-fn num(value: &Value) -> Option<f64> {
-    match value {
-        Value::F64(n) => Some(*n),
-        Value::U64(n) => Some(*n as f64),
-        Value::I64(n) => Some(*n as f64),
-        _ => None,
-    }
-}
-
-/// A named series out of a history body, as floats (newest last).
-fn series(history: &Value, name: &str) -> Vec<f64> {
-    match get(history, &["series", name]) {
-        Some(Value::Seq(points)) => points.iter().filter_map(num).collect(),
-        _ => Vec::new(),
-    }
+/// `GET path` on `addr`, parsed; `None` unless it answers 200 with
+/// JSON.
+fn fetch(addr: &str, path: &str, timeouts: Timeouts) -> Option<Value> {
+    request_once_with(addr, "GET", path, None, timeouts)
+        .ok()
+        .filter(|r| r.status == 200)
+        .and_then(|r| serde::json::parse(&r.body).ok())
 }
 
 /// The newest sample of a named series, or 0.
 fn last(history: &Value, name: &str) -> f64 {
     series(history, name).last().copied().unwrap_or(0.0)
+}
+
+/// The row of a node whose history could not be read.
+fn down_row(name: String, addr: String) -> NodeRow {
+    NodeRow {
+        name,
+        addr,
+        up: false,
+        ..NodeRow::default()
+    }
 }
 
 /// Builds a node row from one worker's `/metrics/history` body.
@@ -129,28 +120,19 @@ fn fold_stages(stages: &mut Vec<(String, u64, u64)>, stats: &Value) {
         return;
     };
     for table in tables {
-        let name = match get(table, &["stage"]) {
-            Some(Value::Str(s)) => s.clone(),
-            _ => continue,
+        let Some(name) = table.get("stage").and_then(Value::as_str) else {
+            continue;
         };
-        let hits = get(table, &["hits"]).and_then(num).unwrap_or(0.0) as u64;
-        let misses = get(table, &["misses"]).and_then(num).unwrap_or(0.0) as u64;
+        let count = |key| table.get(key).and_then(Value::as_u64).unwrap_or(0);
+        let (hits, misses) = (count("hits"), count("misses"));
         match stages.iter_mut().find(|(n, ..)| *n == name) {
             Some((_, h, m)) => {
                 *h += hits;
                 *m += misses;
             }
-            None => stages.push((name, hits, misses)),
+            None => stages.push((name.to_owned(), hits, misses)),
         }
     }
-}
-
-/// Element-wise tail-aligned sum of rings (shortest ring wins).
-fn sum_rings(rings: &[Vec<f64>]) -> Vec<f64> {
-    let len = rings.iter().map(Vec::len).min().unwrap_or(0);
-    (0..len)
-        .map(|j| rings.iter().map(|r| r[r.len() - len + j]).sum())
-        .collect()
 }
 
 /// Collects one frame by polling every worker directly.
@@ -159,61 +141,27 @@ fn collect_workers(workers: &[String], timeouts: Timeouts) -> Frame {
         source: format!("{} workers", workers.len()),
         ..Frame::default()
     };
-    let mut req_rings = Vec::new();
-    let mut hit_weight: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> = Vec::new();
+    let mut histories = Vec::new();
     for (i, addr) in workers.iter().enumerate() {
         let name = format!("w{i}");
-        match request_once_with(addr, "GET", "/metrics/history", None, timeouts)
-            .ok()
-            .filter(|r| r.status == 200)
-            .and_then(|r| serde::json::parse(&r.body).ok())
-        {
+        match fetch(addr, "/metrics/history", timeouts) {
             Some(history) => {
-                req_rings.push(series(&history, "req_per_s"));
-                hit_weight.push((
-                    series(&history, "store.hits_per_s"),
-                    series(&history, "store.misses_per_s"),
-                    Vec::new(),
-                ));
                 frame.nodes.push(node_row(name, addr.clone(), &history));
+                histories.push(history);
             }
             None => {
                 frame.errors.push(format!("{addr}: history unreachable"));
-                frame.nodes.push(NodeRow {
-                    name,
-                    addr: addr.clone(),
-                    up: false,
-                    ..NodeRow::default()
-                });
+                frame.nodes.push(down_row(name, addr.clone()));
                 continue;
             }
         }
-        if let Some(stats) = request_once_with(addr, "GET", "/stats", None, timeouts)
-            .ok()
-            .filter(|r| r.status == 200)
-            .and_then(|r| serde::json::parse(&r.body).ok())
-        {
+        if let Some(stats) = fetch(addr, "/stats", timeouts) {
             fold_stages(&mut frame.stages, &stats);
         }
     }
-    frame.req_ring = sum_rings(&req_rings);
-    let hits = sum_rings(
-        &hit_weight
-            .iter()
-            .map(|(h, ..)| h.clone())
-            .collect::<Vec<_>>(),
-    );
-    let misses = sum_rings(
-        &hit_weight
-            .iter()
-            .map(|(_, m, _)| m.clone())
-            .collect::<Vec<_>>(),
-    );
-    frame.hit_ring = hits
-        .iter()
-        .zip(&misses)
-        .map(|(h, m)| if h + m > 0.0 { h / (h + m) } else { 0.0 })
-        .collect();
+    let fleet = FleetRings::fold(&histories.iter().collect::<Vec<_>>());
+    frame.req_ring = fleet.req_per_s;
+    frame.hit_ring = fleet.hit_rate;
     frame
 }
 
@@ -223,11 +171,7 @@ fn collect_gateway(addr: &str, timeouts: Timeouts) -> Frame {
         source: format!("gateway {addr}"),
         ..Frame::default()
     };
-    match request_once_with(addr, "GET", "/cluster/history", None, timeouts)
-        .ok()
-        .filter(|r| r.status == 200)
-        .and_then(|r| serde::json::parse(&r.body).ok())
-    {
+    match fetch(addr, "/cluster/history", timeouts) {
         Some(cluster) => {
             if let Some(fleet) = get(&cluster, &["fleet"]) {
                 frame.req_ring = series(fleet, "req_per_s");
@@ -235,22 +179,14 @@ fn collect_gateway(addr: &str, timeouts: Timeouts) -> Frame {
             }
             if let Some(Value::Seq(workers)) = get(&cluster, &["workers"]) {
                 for worker in workers {
-                    let index = get(worker, &["index"]).and_then(num).unwrap_or(0.0) as usize;
-                    let addr = match get(worker, &["addr"]) {
-                        Some(Value::Str(a)) => a.clone(),
-                        _ => String::new(),
-                    };
-                    let name = format!("w{index}");
+                    let index = worker.get("index").and_then(Value::as_u64).unwrap_or(0);
+                    let addr = worker.get("addr").and_then(Value::as_str).unwrap_or("");
+                    let (name, addr) = (format!("w{index}"), addr.to_owned());
                     match get(worker, &["history"]) {
                         Some(history @ Value::Map(_)) => {
                             frame.nodes.push(node_row(name, addr, history));
                         }
-                        _ => frame.nodes.push(NodeRow {
-                            name,
-                            addr,
-                            up: false,
-                            ..NodeRow::default()
-                        }),
+                        _ => frame.nodes.push(down_row(name, addr)),
                     }
                 }
             }
@@ -259,11 +195,7 @@ fn collect_gateway(addr: &str, timeouts: Timeouts) -> Frame {
             .errors
             .push(format!("{addr}: /cluster/history unreachable")),
     }
-    if let Some(stats) = request_once_with(addr, "GET", "/cluster/stats", None, timeouts)
-        .ok()
-        .filter(|r| r.status == 200)
-        .and_then(|r| serde::json::parse(&r.body).ok())
-    {
+    if let Some(stats) = fetch(addr, "/cluster/stats", timeouts) {
         if let Some(Value::Seq(workers)) = get(&stats, &["workers"]) {
             for worker in workers {
                 if let Some(wstats) = get(worker, &["stats"]) {
@@ -526,14 +458,6 @@ mod tests {
         assert!(text.contains("90.0%"), "{text}");
         assert!(text.contains("stages fabric 90%"), "{text}");
         assert!(text.contains("history unreachable"), "{text}");
-    }
-
-    #[test]
-    fn ring_sums_align_from_the_tail() {
-        let sum = sum_rings(&[vec![1.0, 2.0, 3.0], vec![10.0, 20.0]]);
-        // Shortest ring wins: the overlap is the last two samples.
-        assert_eq!(sum, vec![12.0, 23.0]);
-        assert!(sum_rings(&[]).is_empty());
     }
 
     #[test]

@@ -61,6 +61,7 @@
 
 pub mod console;
 pub mod gateway;
+mod json;
 mod merge;
 pub mod pool;
 pub mod router;

@@ -39,6 +39,25 @@ pub(crate) fn canonical_indices(scenarios: &[Scenario]) -> Vec<usize> {
         .collect()
 }
 
+/// How many held-back duplicates each canonical cell has, keyed by the
+/// cell's [`Scenario::digest`] (empty when the grid has no duplicates).
+pub(crate) fn duplicates_by_digest(scenarios: &[Scenario], canon: &[usize]) -> HashMap<u64, usize> {
+    let mut dups = HashMap::new();
+    for (i, &c) in canon.iter().enumerate() {
+        if c != i {
+            *dups.entry(scenarios[c].digest()).or_insert(0) += 1;
+        }
+    }
+    dups
+}
+
+/// The `digest` field (hex [`Scenario::digest`]) of one streamed cell
+/// line.
+pub(crate) fn line_digest(line: &str) -> Option<u64> {
+    let cell = serde::json::parse(line).ok()?;
+    u64::from_str_radix(cell.get("digest")?.as_str()?, 16).ok()
+}
+
 /// The routing keys for a request's cells, hashed once up front:
 /// retry rounds and replica walks reuse them instead of re-hashing
 /// scenarios on the failover path.
@@ -241,4 +260,34 @@ pub(crate) fn scatter_buffered(
         .into_iter()
         .map(|cell| cell.expect("every grid index was filled"))
         .collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mcdla_core::SystemDesign;
+    use mcdla_dnn::Benchmark;
+    use mcdla_parallel::ParallelStrategy;
+
+    #[test]
+    fn duplicates_are_found_by_the_digest_a_streamed_line_carries() {
+        let a = Scenario::new(
+            SystemDesign::McDlaBwAware,
+            Benchmark::AlexNet,
+            ParallelStrategy::DataParallel,
+        );
+        let b = Scenario::new(
+            SystemDesign::DcDla,
+            Benchmark::GoogLeNet,
+            ParallelStrategy::DataParallel,
+        );
+        let cells = [a, b, a, a];
+        let dups = duplicates_by_digest(&cells, &canonical_indices(&cells));
+        let line = |s: &Scenario| {
+            serde::json::to_string(&mcdla_serve::cell_value(s, &s.simulate(), false))
+        };
+        assert_eq!(line_digest(&line(&a)).and_then(|d| dups.get(&d)), Some(&2));
+        assert_eq!(line_digest(&line(&b)).and_then(|d| dups.get(&d)), None);
+        assert_eq!(line_digest("{\"digest\":\"xyz\"}"), None);
+    }
 }

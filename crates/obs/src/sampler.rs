@@ -109,11 +109,6 @@ impl Sampler {
         }
     }
 
-    /// The configured cadence, in milliseconds.
-    pub fn interval_ms(&self) -> u64 {
-        self.interval_ms
-    }
-
     /// Signals the thread and joins it. Idempotent via `Drop`.
     pub fn stop(mut self) {
         self.shutdown();

@@ -366,18 +366,9 @@ pub fn query_param<'q>(query: Option<&'q str>, key: &str) -> Option<&'q str> {
         .map(|(_, v)| v)
 }
 
-/// Starts a chunked NDJSON response: status line and headers only; the
-/// body follows as [`write_chunk`] calls ended by [`finish_chunked`].
-pub fn write_chunked_head(
-    w: &mut impl Write,
-    status: u16,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    write_chunked_head_with(w, status, &[], keep_alive)
-}
-
-/// [`write_chunked_head`] with extra response headers (the request-id
-/// echo on streamed grids).
+/// Starts a chunked NDJSON response: status line and headers (plus
+/// `extra_headers`, the request-id echo) only; the body follows as
+/// [`write_chunk`] calls ended by [`finish_chunked`].
 pub fn write_chunked_head_with(
     w: &mut impl Write,
     status: u16,
@@ -419,30 +410,9 @@ pub fn finish_chunked(w: &mut impl Write) -> std::io::Result<()> {
     w.flush()
 }
 
-/// Writes one JSON response (the content type almost everything speaks).
-pub fn write_response(
-    w: &mut impl Write,
-    status: u16,
-    body: &str,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    write_response_typed(w, status, "application/json", body, keep_alive)
-}
-
-/// Writes one response with an explicit content type (`GET /metrics`
-/// answers Prometheus text exposition, everything else JSON).
-pub fn write_response_typed(
-    w: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    body: &str,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    write_response_with(w, status, content_type, &[], body, keep_alive)
-}
-
-/// [`write_response_typed`] with extra response headers (the
-/// `X-Mcdla-Request-Id` echo).
+/// Writes one response with its content type (`GET /metrics` answers
+/// Prometheus text exposition, everything else JSON) and
+/// `extra_headers` (the `X-Mcdla-Request-Id` echo).
 pub fn write_response_with(
     w: &mut impl Write,
     status: u16,
@@ -694,7 +664,15 @@ mod tests {
     #[test]
     fn responses_carry_length_and_connection() {
         let mut out = Vec::new();
-        write_response(&mut out, 200, "{\"ok\":true}", true).unwrap();
+        write_response_with(
+            &mut out,
+            200,
+            "application/json",
+            &[],
+            "{\"ok\":true}",
+            true,
+        )
+        .unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("content-length: 11\r\n"));
@@ -722,7 +700,7 @@ mod tests {
     #[test]
     fn chunked_framing_round_trips() {
         let mut out = Vec::new();
-        write_chunked_head(&mut out, 200, true).unwrap();
+        write_chunked_head_with(&mut out, 200, &[], true).unwrap();
         write_chunk(&mut out, b"{\"a\":1}\n").unwrap();
         write_chunk(&mut out, b"").unwrap(); // skipped, not a terminator
         write_chunk(&mut out, b"{\"b\":2}\n").unwrap();

@@ -11,6 +11,9 @@
 //! a restarted service answers its first requests from cache. The event
 //! loop owns all connection I/O (pipelining, timeouts, 429
 //! load-shedding); simulation runs on a bounded blocking worker pool.
+//! The request path itself — counters, traces, wide events, the shared
+//! routes — is the [`tier`] skeleton, which the `mcdla-cluster` gateway
+//! builds on too.
 //!
 //! ## Endpoints
 //!
@@ -62,8 +65,10 @@ pub mod epoll;
 pub mod http;
 pub mod metrics;
 mod server;
+pub mod tier;
 pub mod trace;
 
 pub use server::{
-    cell_value, GridRequest, ServeConfig, Server, ServerHandle, MAX_GRID_CELLS, MAX_STREAM_CELLS,
+    cell_value, parse_scenario, GridRequest, ServeConfig, Server, ServerHandle, MAX_GRID_CELLS,
+    MAX_STREAM_CELLS,
 };

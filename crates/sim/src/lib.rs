@@ -7,7 +7,6 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — an integer-picosecond clock, so event
 //!   ordering is exact and runs are reproducible.
-//! * [`EventQueue`] — a calendar queue with deterministic FIFO tie-breaks.
 //! * [`FifoEngine`] — a serialized hardware stream (PE array, DMA unit,
 //!   protocol/communication engine) that accumulates the busy time stacked
 //!   in the paper's Figure 11.
@@ -39,14 +38,12 @@
 #![warn(missing_debug_implementations)]
 
 mod engine;
-mod event;
 mod flow;
 pub mod stats;
 mod time;
 mod units;
 
 pub use engine::{Completion, FifoEngine};
-pub use event::EventQueue;
 pub use flow::{ChannelId, FlowError, FlowId, FlowNetwork};
 pub use time::{SimDuration, SimTime};
 pub use units::{Bandwidth, Bytes};
