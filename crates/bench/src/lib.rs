@@ -98,11 +98,6 @@ pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> Stri
     out
 }
 
-/// Prints an aligned ASCII table to stdout.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    print!("{}", render_table(title, headers, rows));
-}
-
 /// Formats a ratio as `N.NNx`.
 pub fn fmt_x(v: f64) -> String {
     format!("{v:.2}x")

@@ -50,10 +50,6 @@ pub struct GatewayConfig {
     /// Background health-probe period (`None` disables the prober;
     /// health is then tracked passively from request outcomes only).
     pub probe_interval: Option<Duration>,
-    /// Parked keep-alive connections kept per worker.
-    pub max_idle_per_worker: usize,
-    /// Event-loop threads (one epoll instance each).
-    pub loops: usize,
     /// Admission-queue bound: fleet-bound requests waiting beyond the
     /// worker pool; the next one is answered 429 + `Retry-After`.
     pub queue_depth: usize,
@@ -70,8 +66,6 @@ impl Default for GatewayConfig {
             backends: Vec::new(),
             timeouts: Timeouts::default(),
             probe_interval: Some(Duration::from_secs(2)),
-            max_idle_per_worker: 16,
-            loops: 1,
             queue_depth: 128,
             sample_ms: None,
         }
@@ -112,16 +106,11 @@ impl Gateway {
     pub fn bind(config: &GatewayConfig) -> Result<Gateway, String> {
         let loop_config = tier::loop_config(
             config.threads,
-            config.loops,
             config.queue_depth,
             READ_TIMEOUT,
             READ_TIMEOUT,
         )?;
-        let router = Router::new(
-            config.backends.iter().cloned(),
-            config.timeouts,
-            config.max_idle_per_worker,
-        )?;
+        let router = Router::new(config.backends.iter().cloned(), config.timeouts)?;
         Ok(Gateway {
             bound: Bound::bind(
                 GatewayTier { router },
@@ -165,11 +154,7 @@ impl Gateway {
     /// thread until they exit — the `mcdla gateway` entry point (it
     /// runs until the process is killed).
     pub fn run(self) -> std::io::Result<()> {
-        let handle = self.spawn()?;
-        handle.running.join();
-        if let Some(p) = handle.prober {
-            let _ = p.join();
-        }
+        self.spawn()?.join();
         Ok(())
     }
 }
@@ -183,6 +168,14 @@ impl GatewayHandle {
     /// The routing core (topology + worker health).
     pub fn router(&self) -> &Router {
         &self.running.core().tier().router
+    }
+
+    /// Parks the caller until the event loop and the prober exit.
+    fn join(self) {
+        self.running.join();
+        if let Some(p) = self.prober {
+            let _ = p.join();
+        }
     }
 
     /// Stops the event loop and worker pool and joins every thread
@@ -847,7 +840,6 @@ pub fn spawn_local_fleet(config: &FleetConfig) -> Result<LocalFleet, String> {
         backends,
         timeouts: config.timeouts,
         probe_interval: config.probe_interval,
-        max_idle_per_worker: 16,
         sample_ms: config.sample_ms,
         ..GatewayConfig::default()
     })?;
@@ -866,6 +858,15 @@ impl LocalFleet {
     /// Worker addresses in topology order.
     pub fn worker_addrs(&self) -> Vec<String> {
         self.workers.iter().map(|w| w.addr().to_string()).collect()
+    }
+
+    /// Parks the caller while the fleet serves — the `mcdla cluster`
+    /// entry point (it runs until the process is killed).
+    pub fn run(self) {
+        self.gateway.join();
+        for worker in self.workers {
+            worker.shutdown();
+        }
     }
 
     /// Shuts down the gateway, then every worker.

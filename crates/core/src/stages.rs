@@ -37,8 +37,8 @@
 //! every [`SystemConfig`] field a stage reads is a function of those
 //! axes (the data type never varies across scenarios, and the device
 //! config depends only on the generation/model overrides). Each table is
-//! capacity-bounded — see the README's "Stage tuning" section for the
-//! `MCDLA_STAGE_*_CAP` knobs — and every hit/miss/eviction is reported
+//! capacity-bounded by a fixed constant (`FABRIC_CAP` … `SYNC_CAP`
+//! below) and every hit/miss/eviction is reported
 //! through [`StoreStats::stages`](crate::StoreStats), `GET /stats`,
 //! `GET /metrics`, and the sweep summary.
 
@@ -211,29 +211,26 @@ impl StageHists {
     }
 }
 
-/// Reads `var` as a table capacity: unset → `default`, `0` → unbounded,
-/// anything unparsable → `default`.
-fn cap_from_env(var: &str, default: usize) -> Option<usize> {
-    match std::env::var(var) {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(0) => None,
-            Ok(n) => Some(n),
-            Err(_) => Some(default),
-        },
-        Err(_) => Some(default),
-    }
-}
+// Table capacities, in entries (`docs/engine.md` lists what each entry
+// holds).
+const FABRIC_CAP: usize = 4096;
+const NETWORK_CAP: usize = 64;
+const TIMING_CAP: usize = 8192;
+const PLAN_CAP: usize = 8192;
+const SCHEDULE_CAP: usize = 8192;
+const COLLECTIVE_CAP: usize = 65536;
+const SYNC_CAP: usize = 8192;
 
 fn pipeline() -> &'static StagePipeline {
     static PIPELINE: OnceLock<StagePipeline> = OnceLock::new();
     PIPELINE.get_or_init(|| StagePipeline {
-        fabrics: StageCache::with_shards(cap_from_env("MCDLA_STAGE_FABRIC_CAP", 4096), 16),
-        networks: StageCache::with_shards(cap_from_env("MCDLA_STAGE_NETWORK_CAP", 64), 4),
-        timings: StageCache::with_shards(cap_from_env("MCDLA_STAGE_TIMING_CAP", 8192), 16),
-        plans: StageCache::with_shards(cap_from_env("MCDLA_STAGE_PLAN_CAP", 8192), 16),
-        schedules: StageCache::with_shards(cap_from_env("MCDLA_STAGE_SCHEDULE_CAP", 8192), 16),
-        collectives: StageCache::with_shards(cap_from_env("MCDLA_STAGE_COLLECTIVE_CAP", 65536), 16),
-        syncs: StageCache::with_shards(cap_from_env("MCDLA_STAGE_SYNC_CAP", 8192), 16),
+        fabrics: StageCache::with_shards(Some(FABRIC_CAP), 16),
+        networks: StageCache::with_shards(Some(NETWORK_CAP), 4),
+        timings: StageCache::with_shards(Some(TIMING_CAP), 16),
+        plans: StageCache::with_shards(Some(PLAN_CAP), 16),
+        schedules: StageCache::with_shards(Some(SCHEDULE_CAP), 16),
+        collectives: StageCache::with_shards(Some(COLLECTIVE_CAP), 16),
+        syncs: StageCache::with_shards(Some(SYNC_CAP), 16),
         hists: StageHists::new(),
     })
 }

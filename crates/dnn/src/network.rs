@@ -203,12 +203,6 @@ impl Network {
             peak_live_bytes: peak_live,
         }
     }
-
-    /// Sum of weight-gradient bytes — the data-parallel synchronization
-    /// volume per iteration (one all-reduce of dW per weighted layer).
-    pub fn total_gradient_bytes(&self, dtype: DataType) -> u64 {
-        self.total_weight_bytes(dtype)
-    }
 }
 
 impl fmt::Display for Network {

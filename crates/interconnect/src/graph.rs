@@ -6,7 +6,6 @@
 //! paper's convention of quoting B = 25 GB/s of uni-directional bandwidth
 //! per link.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -220,11 +219,6 @@ impl Topology {
         self.links.iter().filter(move |l| l.src == node)
     }
 
-    /// Incoming links of `node`.
-    pub fn links_to(&self, node: NodeId) -> impl Iterator<Item = &Link> + '_ {
-        self.links.iter().filter(move |l| l.dst == node)
-    }
-
     /// The uni-directional links from `a` to `b` (parallel links allowed —
     /// MC-DLA attaches several ring links between the same neighbor pair).
     pub fn links_between(&self, a: NodeId, b: NodeId) -> Vec<LinkId> {
@@ -249,22 +243,6 @@ impl Topology {
     /// by Table II's N = 6 per node.
     pub fn duplex_degree(&self, node: NodeId) -> usize {
         self.degree(node) / 2
-    }
-
-    /// Aggregate per-kind duplex degree statistics, for validating that a
-    /// layout respects each node's link budget.
-    pub fn duplex_degree_by_kind(&self) -> BTreeMap<&'static str, Vec<usize>> {
-        let mut map: BTreeMap<&'static str, Vec<usize>> = BTreeMap::new();
-        for n in &self.nodes {
-            let key = match n.kind {
-                NodeKind::Device => "device",
-                NodeKind::Memory => "memory",
-                NodeKind::HostCpu => "host",
-                NodeKind::Switch => "switch",
-            };
-            map.entry(key).or_default().push(self.duplex_degree(n.id));
-        }
-        map
     }
 }
 

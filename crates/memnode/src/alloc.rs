@@ -170,11 +170,6 @@ impl RemoteAllocator {
         self.free[0] + self.free[1]
     }
 
-    /// Free bytes on one side.
-    pub fn free_on(&self, side: Side) -> u64 {
-        self.free[side as usize]
-    }
-
     /// Total capacity across both sides.
     pub fn capacity_bytes(&self) -> u64 {
         self.capacity[0] + self.capacity[1]

@@ -58,14 +58,6 @@ impl MemoryNodeConfig {
         }
     }
 
-    /// The PC4-17000 variant (170 GB/s) mentioned in §III-A.
-    pub fn pc4_17000() -> Self {
-        MemoryNodeConfig {
-            memory_bandwidth_gbs: 170.0,
-            ..MemoryNodeConfig::paper_baseline()
-        }
-    }
-
     /// A baseline populated with a specific DIMM option.
     pub fn with_dimm(dimm: DimmKind) -> Self {
         MemoryNodeConfig {

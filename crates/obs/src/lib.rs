@@ -19,10 +19,10 @@
 //! * [`History`] / [`Sampler`] — retained time-series telemetry: a
 //!   background thread (`MCDLA_SAMPLE_MS`, default 1 s) records
 //!   counter deltas and windowed quantiles into fixed-capacity
-//!   per-series rings (`MCDLA_HISTORY_CAP`, default 600 samples),
+//!   per-series rings ([`DEFAULT_HISTORY_CAP`], 600 samples),
 //!   behind `GET /metrics/history` and `GET /cluster/history`.
-//! * [`log`] — leveled, rate-limited structured logging (`MCDLA_LOG`):
-//!   one JSON object per line on stderr, including the per-request
+//! * [`log`] — leveled, rate-limited structured logging (`MCDLA_LOG`
+//!   sets one level for every target): one JSON object per line on stderr, including the per-request
 //!   *wide events* emitted by the serve and gateway tiers.
 //!
 //! Span recording is disabled by default ([`set_enabled`]) so batch
@@ -47,7 +47,7 @@ use std::time::{SystemTime, UNIX_EPOCH};
 pub use hist::{Histogram, HistogramSnapshot, BUCKETS, BUCKET_BOUNDS};
 pub use recorder::{trace_cap_from_env, FlightRecorder, DEFAULT_TRACE_CAP};
 pub use sampler::{rss_bytes, sample_ms_from_env, unix_ms, Sampler, DEFAULT_SAMPLE_MS};
-pub use series::{history_cap_from_env, History, HistoryDump, Sample, DEFAULT_HISTORY_CAP};
+pub use series::{History, HistoryDump, Sample, DEFAULT_HISTORY_CAP};
 pub use span::{enabled, set_enabled, Span, SpanRecord, TraceRecord, TraceScope};
 
 /// The crate (and workspace) version baked in at compile time.

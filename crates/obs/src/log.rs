@@ -2,10 +2,8 @@
 //! on stderr.
 //!
 //! `MCDLA_LOG` selects the level — `error|warn|info|debug|off`, default
-//! `info` — optionally with per-target overrides in env_logger style:
-//! `MCDLA_LOG=warn,serve=debug` keeps the fleet quiet but turns on the
-//! worker's per-request wide events. Targets are short static strings
-//! (`"serve"`, `"gateway"`, `"cluster"`) matched exactly.
+//! `info` — for every target. Targets are short static strings
+//! (`"serve"`, `"gateway"`, `"cluster"`) carried on each line.
 //!
 //! Every line is a flat JSON object: `ts_ms`, `level`, `target`, `msg`,
 //! then the caller's fields in order. Lines are emitted with a single
@@ -118,72 +116,21 @@ impl From<bool> for LogValue {
     }
 }
 
-/// Parsed `MCDLA_LOG` configuration: a default rank plus per-target
-/// overrides.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogConfig {
-    default_rank: u8,
-    overrides: Vec<(String, u8)>,
-}
-
-fn parse_rank(s: &str) -> Option<u8> {
-    match s.trim().to_ascii_lowercase().as_str() {
-        "off" | "none" => Some(0),
-        "error" => Some(1),
-        "warn" | "warning" => Some(2),
-        "info" => Some(3),
-        "debug" | "trace" => Some(4),
-        _ => None,
+/// Parses an `MCDLA_LOG` level into the most verbose rank it admits.
+/// Unknown levels fall back to `info`.
+fn parse_rank(spec: &str) -> u8 {
+    match spec.trim().to_ascii_lowercase().as_str() {
+        "off" | "none" => 0,
+        "error" => 1,
+        "warn" | "warning" => 2,
+        "debug" | "trace" => 4,
+        _ => 3,
     }
 }
 
-impl LogConfig {
-    /// Parses a spec like `info` or `warn,serve=debug`. Unknown levels
-    /// fall back to `info`; malformed clauses are ignored.
-    pub fn parse(spec: &str) -> LogConfig {
-        let mut default_rank = 3;
-        let mut overrides = Vec::new();
-        for clause in spec.split(',') {
-            let clause = clause.trim();
-            if clause.is_empty() {
-                continue;
-            }
-            match clause.split_once('=') {
-                None => {
-                    if let Some(rank) = parse_rank(clause) {
-                        default_rank = rank;
-                    }
-                }
-                Some((target, level)) => {
-                    if let Some(rank) = parse_rank(level) {
-                        overrides.push((target.trim().to_string(), rank));
-                    }
-                }
-            }
-        }
-        LogConfig {
-            default_rank,
-            overrides,
-        }
-    }
-
-    /// Whether `level` passes the filter for `target`.
-    pub fn enabled(&self, level: Level, target: &str) -> bool {
-        let rank = self
-            .overrides
-            .iter()
-            .find(|(t, _)| t == target)
-            .map(|&(_, r)| r)
-            .unwrap_or(self.default_rank);
-        level.rank() <= rank
-    }
-}
-
-fn config() -> &'static LogConfig {
-    static CONFIG: OnceLock<LogConfig> = OnceLock::new();
-    CONFIG.get_or_init(|| {
-        LogConfig::parse(&std::env::var("MCDLA_LOG").unwrap_or_else(|_| "info".to_string()))
-    })
+fn max_rank() -> u8 {
+    static RANK: OnceLock<u8> = OnceLock::new();
+    *RANK.get_or_init(|| parse_rank(&std::env::var("MCDLA_LOG").unwrap_or_default()))
 }
 
 fn limit() -> u64 {
@@ -196,10 +143,10 @@ fn limit() -> u64 {
     })
 }
 
-/// Whether a line at `level` for `target` would be emitted (cheap; use
-/// to skip field construction on hot paths).
-pub fn log_enabled(level: Level, target: &str) -> bool {
-    config().enabled(level, target)
+/// Whether a line at `level` would be emitted (cheap; use to skip
+/// field construction on hot paths).
+pub fn log_enabled(level: Level) -> bool {
+    level.rank() <= max_rank()
 }
 
 /// Appends `s` to `out` as a JSON string literal.
@@ -306,9 +253,9 @@ impl RateWindow {
 static GLOBAL_WINDOW: RateWindow = RateWindow::new();
 
 /// Emits one structured line if `level` passes the `MCDLA_LOG` filter
-/// for `target` and the rate limiter admits it.
+/// and the rate limiter admits it.
 pub fn log(level: Level, target: &str, msg: &str, fields: &[(&str, LogValue)]) {
-    if !log_enabled(level, target) {
+    if !log_enabled(level) {
         return;
     }
     let ts_ms = crate::sampler::unix_ms();
@@ -358,17 +305,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn config_parses_default_and_target_overrides() {
-        let c = LogConfig::parse("warn,serve=debug, gateway = error ,bogus=nope");
-        assert!(c.enabled(Level::Warn, "cluster"));
-        assert!(!c.enabled(Level::Info, "cluster"));
-        assert!(c.enabled(Level::Debug, "serve"));
-        assert!(c.enabled(Level::Error, "gateway"));
-        assert!(!c.enabled(Level::Warn, "gateway"));
+    fn level_parses_with_an_info_default() {
+        assert_eq!(parse_rank(" Warn "), Level::Warn.rank());
+        assert_eq!(parse_rank("debug"), Level::Debug.rank());
+        assert_eq!(parse_rank("error"), Level::Error.rank());
         // Unknown levels fall back to info; empty spec is info.
-        assert!(LogConfig::parse("verbose").enabled(Level::Info, "x"));
-        assert!(!LogConfig::parse("").enabled(Level::Debug, "x"));
-        assert!(!LogConfig::parse("off").enabled(Level::Error, "x"));
+        assert_eq!(parse_rank("verbose"), Level::Info.rank());
+        assert_eq!(parse_rank(""), Level::Info.rank());
+        assert!(parse_rank("off") < Level::Error.rank());
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!
 //! ## Architecture
 //!
-//! Each loop thread runs `epoll_wait` over a listener, an eventfd
-//! waker, and its live connections, held in a generation-tagged slab
+//! One loop thread runs `epoll_wait` over the listener, an eventfd
+//! waker, and the live connections, held in a generation-tagged slab
 //! (O(1) insert/remove off a free list — this replaces the old
 //! `ConnRegistry`'s linear slot scan under one mutex). Bytes read from
 //! a connection land in its per-connection inbox; [`parse_request`]
@@ -27,7 +27,7 @@
 //!   switched to blocking — and shipped with its unparsed inbox to the
 //!   worker pool behind a bounded admission queue. The worker answers
 //!   with the existing blocking handler code ([`Service::handle`]),
-//!   then re-attaches the connection to its loop through a mailbox +
+//!   then re-attaches the connection to the loop through a mailbox +
 //!   waker. One heavy request per connection is in flight at a time,
 //!   and a re-attached connection's next request re-enters the queue at
 //!   the tail: that is the per-client fairness policy.
@@ -47,12 +47,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::epoll::{
-    Epoll, Event, Waker, EPOLLERR, EPOLLEXCLUSIVE, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
-};
+use crate::epoll::{Epoll, Event, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::http::{incomplete_error, parse_request, Request, WireError};
 
-/// Token delivered for the shared listener.
+/// Token delivered for the listener.
 const TOKEN_LISTENER: u64 = u64::MAX;
 /// Token delivered for the loop's eventfd waker.
 const TOKEN_WAKER: u64 = u64::MAX - 1;
@@ -107,11 +105,9 @@ pub trait Service: Send + Sync + 'static {
     fn wire_error(&self, error: &WireError) -> Vec<u8>;
 }
 
-/// Event-loop sizing and timeouts.
+/// Worker-pool sizing and timeouts (there is always one loop thread).
 #[derive(Debug, Clone)]
 pub struct LoopConfig {
-    /// Event-loop threads (each with its own epoll instance).
-    pub loops: usize,
     /// Worker-pool threads for heavy (blocking) requests.
     pub workers: usize,
     /// Admission-queue bound: heavy requests waiting beyond the pool;
@@ -127,7 +123,6 @@ pub struct LoopConfig {
 impl Default for LoopConfig {
     fn default() -> Self {
         LoopConfig {
-            loops: 1,
             workers: 4,
             queue_depth: 128,
             idle_timeout: Duration::from_secs(30),
@@ -152,7 +147,7 @@ impl LoopStats {
         self.accepted.load(Ordering::Relaxed)
     }
 
-    /// Connections attached to a loop right now (detached connections
+    /// Connections attached to the loop right now (detached connections
     /// being served by a worker are not counted).
     pub fn open(&self) -> u64 {
         self.open.load(Ordering::Relaxed)
@@ -174,13 +169,13 @@ impl LoopStats {
     }
 }
 
-/// A connection handed back from a worker to its loop.
+/// A connection handed back from a worker to the loop.
 struct Reattach {
     stream: TcpStream,
     inbox: Vec<u8>,
 }
 
-/// One loop's handoff point: workers push re-attachments, then wake it.
+/// The loop's handoff point: workers push re-attachments, then wake it.
 struct Mailbox {
     inbox: Mutex<Vec<Reattach>>,
     waker: Waker,
@@ -195,18 +190,16 @@ struct Job {
     /// Unparsed inbox remainder (later pipelined requests).
     inbox: Vec<u8>,
     request: Request,
-    /// Loop index to re-attach to afterwards.
-    home: usize,
     /// When the request entered the admission queue.
     enqueued: Instant,
 }
 
-/// State shared by loops, workers, and the handle.
+/// State shared by the loop, the workers, and the handle.
 struct Core {
     shutdown: AtomicBool,
     queued: AtomicUsize,
     queue_depth: usize,
-    mailboxes: Vec<Mailbox>,
+    mailbox: Mailbox,
     stats: Arc<LoopStats>,
     idle_timeout: Duration,
     request_timeout: Duration,
@@ -216,53 +209,43 @@ struct Core {
 /// call [`LoopHandle::shutdown`] for a clean stop.
 pub struct LoopHandle {
     core: Arc<Core>,
-    loops: Vec<std::thread::JoinHandle<()>>,
+    io: std::thread::JoinHandle<()>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for LoopHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LoopHandle")
-            .field("loops", &self.loops.len())
             .field("workers", &self.workers.len())
             .finish()
     }
 }
 
 impl LoopHandle {
-    /// Stops the loops and workers: new connections stop being
+    /// Stops the loop and workers: new connections stop being
     /// accepted, attached connections close, queued heavy requests
     /// drain through the pool (in-flight responses finish), then every
     /// thread joins.
     pub fn shutdown(self) {
         self.core.shutdown.store(true, Ordering::SeqCst);
-        for mailbox in &self.core.mailboxes {
-            mailbox.waker.wake();
-        }
-        for t in self.loops {
-            let _ = t.join();
-        }
-        // The loops owned every queue sender; with them gone the
+        self.core.mailbox.waker.wake();
+        // The loop owned the only queue sender; with it gone the
         // workers drain what is queued and see the channel close.
-        for t in self.workers {
-            let _ = t.join();
-        }
+        self.join();
     }
 
-    /// Blocks until the loops exit (they only do on [`shutdown`] from
+    /// Blocks until the loop exits (it only does on [`shutdown`] from
     /// another handle-less path, i.e. never in normal operation) — the
     /// foreground `run()` entry points park here.
     pub fn join(self) {
-        for t in self.loops {
-            let _ = t.join();
-        }
+        let _ = self.io.join();
         for t in self.workers {
             let _ = t.join();
         }
     }
 }
 
-/// Starts `config.loops` event-loop threads over `listener` and
+/// Starts the event-loop thread over `listener` and
 /// `config.workers` pool workers serving `service`. `stats` is shared
 /// so the caller can report loop counters from its own endpoints.
 pub fn spawn_event_loop<S: Service>(
@@ -272,19 +255,14 @@ pub fn spawn_event_loop<S: Service>(
     stats: Arc<LoopStats>,
 ) -> std::io::Result<LoopHandle> {
     listener.set_nonblocking(true)?;
-    let loops = config.loops.max(1);
-    let mut mailboxes = Vec::with_capacity(loops);
-    for _ in 0..loops {
-        mailboxes.push(Mailbox {
-            inbox: Mutex::new(Vec::new()),
-            waker: Waker::new()?,
-        });
-    }
     let core = Arc::new(Core {
         shutdown: AtomicBool::new(false),
         queued: AtomicUsize::new(0),
         queue_depth: config.queue_depth.max(1),
-        mailboxes,
+        mailbox: Mailbox {
+            inbox: Mutex::new(Vec::new()),
+            waker: Waker::new()?,
+        },
         stats,
         idle_timeout: config.idle_timeout,
         request_timeout: config.request_timeout,
@@ -293,20 +271,6 @@ pub fn spawn_event_loop<S: Service>(
     // so a full queue sheds without ever constructing a blocked send.
     let (job_tx, job_rx) = mpsc::channel::<Job>();
     let job_rx = Arc::new(Mutex::new(job_rx));
-
-    let mut loop_threads = Vec::with_capacity(loops);
-    for i in 0..loops {
-        let listener = listener.try_clone()?;
-        let core = core.clone();
-        let service = service.clone();
-        let job_tx = job_tx.clone();
-        loop_threads.push(
-            std::thread::Builder::new()
-                .name(format!("mcdla-io-{i}"))
-                .spawn(move || run_loop(i, loops, listener, core, service, job_tx))?,
-        );
-    }
-    drop(job_tx); // loops hold the only senders now
 
     let mut worker_threads = Vec::with_capacity(config.workers.max(1));
     for i in 0..config.workers.max(1) {
@@ -319,10 +283,17 @@ pub fn spawn_event_loop<S: Service>(
                 .spawn(move || run_worker(core, service, job_rx))?,
         );
     }
+    // The loop thread holds the only sender.
+    let io = {
+        let core = core.clone();
+        std::thread::Builder::new()
+            .name("mcdla-io".into())
+            .spawn(move || run_loop(listener, core, service, job_tx))?
+    };
 
     Ok(LoopHandle {
         core,
-        loops: loop_threads,
+        io,
         workers: worker_threads,
     })
 }
@@ -423,8 +394,6 @@ enum Advanced {
 }
 
 fn run_loop<S: Service>(
-    loop_idx: usize,
-    loop_count: usize,
     listener: TcpListener,
     core: Arc<Core>,
     service: Arc<S>,
@@ -441,10 +410,7 @@ fn run_loop<S: Service>(
             return;
         }
     };
-    // With several loops sharing the listener, EPOLLEXCLUSIVE wakes one
-    // loop per connection instead of all of them.
-    let listener_events = EPOLLIN | if loop_count > 1 { EPOLLEXCLUSIVE } else { 0 };
-    if let Err(e) = epoll.add(listener.as_raw_fd(), listener_events, TOKEN_LISTENER) {
+    if let Err(e) = epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER) {
         mcdla_obs::log::error(
             "serve",
             "epoll_register_listener_failed",
@@ -452,8 +418,7 @@ fn run_loop<S: Service>(
         );
         return;
     }
-    let waker_fd = core.mailboxes[loop_idx].waker.fd();
-    if let Err(e) = epoll.add(waker_fd, EPOLLIN, TOKEN_WAKER) {
+    if let Err(e) = epoll.add(core.mailbox.waker.fd(), EPOLLIN, TOKEN_WAKER) {
         mcdla_obs::log::error(
             "serve",
             "epoll_register_waker_failed",
@@ -496,16 +461,14 @@ fn run_loop<S: Service>(
             let (ready, tok) = ({ event.events }, { event.token });
             match tok {
                 TOKEN_LISTENER => accept_burst(&listener, &epoll, &mut slab, &core),
-                TOKEN_WAKER => core.mailboxes[loop_idx].waker.drain(),
+                TOKEN_WAKER => core.mailbox.waker.drain(),
                 tok => {
                     let (slot, gen) = untoken(tok);
                     if slab.get(slot, gen).is_none() {
                         continue; // stale event for a recycled slot
                     }
                     if ready & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0 {
-                        read_ready(
-                            slot, gen, &mut slab, &epoll, &core, &service, &job_tx, loop_idx,
-                        );
+                        read_ready(slot, gen, &mut slab, &epoll, &core, &service, &job_tx);
                     }
                     if ready & EPOLLOUT != 0 {
                         if let Some(conn) = slab.get(slot, gen) {
@@ -519,7 +482,7 @@ fn run_loop<S: Service>(
         }
         // Re-attachments from the worker pool (mailbox drained after
         // the waker event, but also opportunistically every pass).
-        reattach_from_mailbox(loop_idx, &mut slab, &epoll, &core, &service, &job_tx);
+        reattach_from_mailbox(&mut slab, &epoll, &core, &service, &job_tx);
         if last_sweep.elapsed() >= sweep_every {
             last_sweep = Instant::now();
             sweep_timeouts(&mut slab, &epoll, &core, &service);
@@ -576,7 +539,6 @@ fn close_conn(slot: usize, slab: &mut Slab, core: &Core) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn read_ready<S: Service>(
     slot: usize,
     gen: u32,
@@ -585,7 +547,6 @@ fn read_ready<S: Service>(
     core: &Core,
     service: &Arc<S>,
     job_tx: &mpsc::Sender<Job>,
-    loop_idx: usize,
 ) {
     let Some(conn) = slab.get(slot, gen) else {
         return;
@@ -619,7 +580,7 @@ fn read_ready<S: Service>(
             }
         }
     }
-    match advance(slot, gen, slab, epoll, core, service, job_tx, loop_idx) {
+    match advance(slot, gen, slab, epoll, core, service, job_tx) {
         Advanced::Attached => flush(slot, slab, epoll, core),
         Advanced::Detached | Advanced::Closed => {}
     }
@@ -628,7 +589,6 @@ fn read_ready<S: Service>(
 /// Parses and answers everything parseable in the connection's inbox.
 /// Fast answers accumulate in the outbox (flushed by the caller);
 /// a heavy request detaches the connection to the worker pool.
-#[allow(clippy::too_many_arguments)]
 fn advance<S: Service>(
     slot: usize,
     gen: u32,
@@ -637,7 +597,6 @@ fn advance<S: Service>(
     core: &Core,
     service: &Arc<S>,
     job_tx: &mpsc::Sender<Job>,
-    loop_idx: usize,
 ) -> Advanced {
     loop {
         let Some(conn) = slab.get(slot, gen) else {
@@ -721,7 +680,6 @@ fn advance<S: Service>(
                     pending_out,
                     inbox: conn.inbox,
                     request,
-                    home: loop_idx,
                     enqueued: Instant::now(),
                 };
                 if job_tx.send(job).is_err() {
@@ -786,7 +744,6 @@ fn flush(slot: usize, slab: &mut Slab, epoll: &Epoll, core: &Core) {
 }
 
 fn reattach_from_mailbox<S: Service>(
-    loop_idx: usize,
     slab: &mut Slab,
     epoll: &Epoll,
     core: &Core,
@@ -794,7 +751,7 @@ fn reattach_from_mailbox<S: Service>(
     job_tx: &mpsc::Sender<Job>,
 ) {
     let drained = {
-        let mut inbox = core.mailboxes[loop_idx].inbox.lock().expect("mailbox lock");
+        let mut inbox = core.mailbox.inbox.lock().expect("mailbox lock");
         std::mem::take(&mut *inbox)
     };
     for re in drained {
@@ -814,7 +771,7 @@ fn reattach_from_mailbox<S: Service>(
         // The carried inbox may already hold complete pipelined
         // requests: serve them now rather than waiting for more bytes.
         let (_, gen) = untoken(tok);
-        match advance(slot, gen, slab, epoll, core, service, job_tx, loop_idx) {
+        match advance(slot, gen, slab, epoll, core, service, job_tx) {
             Advanced::Attached => flush(slot, slab, epoll, core),
             Advanced::Detached | Advanced::Closed => {}
         }
@@ -875,7 +832,7 @@ fn run_worker<S: Service>(
         }
         let keep = service.handle(&job.request, &mut job.stream, job.enqueued.elapsed());
         if keep && !core.shutdown.load(Ordering::SeqCst) {
-            let mailbox = &core.mailboxes[job.home];
+            let mailbox = &core.mailbox;
             mailbox.inbox.lock().expect("mailbox lock").push(Reattach {
                 stream: job.stream,
                 inbox: job.inbox,

@@ -20,8 +20,6 @@ pub const EPOLLERR: u32 = 0x008;
 pub const EPOLLHUP: u32 = 0x010;
 /// `EPOLLRDHUP`: peer shut down its write half.
 pub const EPOLLRDHUP: u32 = 0x2000;
-/// `EPOLLEXCLUSIVE`: wake only one of the loops sharing a listener.
-pub const EPOLLEXCLUSIVE: u32 = 1 << 28;
 
 const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CTL_DEL: i32 = 2;

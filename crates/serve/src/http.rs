@@ -16,7 +16,7 @@
 //! version table (see [`parse_request`]); anything that is not a known
 //! `HTTP/1.x` version is served conservatively or refused.
 
-use std::io::{BufRead, Write};
+use std::io::Write;
 
 /// Maximum accepted request-head size (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -94,20 +94,6 @@ impl WireError {
 /// `Content-Length` headers and non-numeric lengths are 400, any
 /// `Transfer-Encoding` (chunked included) is 501.
 pub fn parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, WireError> {
-    match parse_inner(buf)? {
-        Parsed::Complete(request, consumed) => Ok(Some((request, consumed))),
-        Parsed::NeedMore(_) => Ok(None),
-    }
-}
-
-/// Incremental parse status: either a complete request or "read more",
-/// with the total request size attached once the head has arrived.
-enum Parsed {
-    Complete(Request, usize),
-    NeedMore(Option<usize>),
-}
-
-fn parse_inner(buf: &[u8]) -> Result<Parsed, WireError> {
     let window = &buf[..buf.len().min(MAX_HEAD_BYTES)];
     let Some(head_len) = find_head_end(window) else {
         if buf.len() >= MAX_HEAD_BYTES {
@@ -116,7 +102,7 @@ fn parse_inner(buf: &[u8]) -> Result<Parsed, WireError> {
                 format!("request head exceeds the {MAX_HEAD_BYTES}-byte limit"),
             ));
         }
-        return Ok(Parsed::NeedMore(None)); // incomplete head: keep reading
+        return Ok(None); // incomplete head: keep reading
     };
     let head = std::str::from_utf8(&buf[..head_len])
         .map_err(|_| WireError::new(400, "request head is not valid utf-8"))?;
@@ -216,9 +202,9 @@ fn parse_inner(buf: &[u8]) -> Result<Parsed, WireError> {
     let body_start = head_len + 4;
     let total = body_start + content_length;
     if buf.len() < total {
-        return Ok(Parsed::NeedMore(Some(total))); // body still arriving
+        return Ok(None); // body still arriving
     }
-    Ok(Parsed::Complete(
+    Ok(Some((
         Request {
             method: method.to_owned(),
             path: path.to_owned(),
@@ -227,7 +213,7 @@ fn parse_inner(buf: &[u8]) -> Result<Parsed, WireError> {
             headers,
         },
         total,
-    ))
+    )))
 }
 
 /// The error to answer when the peer stopped sending (EOF or timeout)
@@ -257,68 +243,6 @@ fn is_http_1x(version: &str) -> bool {
     version
         .strip_prefix("HTTP/1.")
         .is_some_and(|minor| !minor.is_empty() && minor.bytes().all(|b| b.is_ascii_digit()))
-}
-
-/// Reads one request from a blocking stream (the worker-pool side and
-/// the tests use this; the event loop calls [`parse_request`] against
-/// its per-connection inbox instead).
-///
-/// Returns `Ok(None)` on a clean close (EOF before the first byte of a
-/// request) — the keep-alive loop's normal exit. Every malformed input
-/// is an `Err` naming the 4xx to answer with.
-pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, WireError> {
-    // The head is read byte-by-byte (the reader is buffered, so this
-    // costs nanoseconds per byte) and the body with one `read_exact`,
-    // so exactly one request is consumed — pipelined bytes after it
-    // stay in the reader for the next call.
-    let mut buf: Vec<u8> = Vec::with_capacity(256);
-    let mut byte = [0u8; 1];
-    loop {
-        match parse_inner(&buf)? {
-            Parsed::Complete(request, consumed) => {
-                debug_assert_eq!(consumed, buf.len(), "read_request reads one request");
-                return Ok(Some(request));
-            }
-            Parsed::NeedMore(Some(total)) => {
-                let mut body = vec![0u8; total - buf.len()];
-                reader.read_exact(&mut body).map_err(|e| {
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) {
-                        WireError::new(408, "timed out reading the request body")
-                    } else {
-                        WireError::new(400, "truncated request body")
-                    }
-                })?;
-                buf.extend_from_slice(&body);
-            }
-            Parsed::NeedMore(None) => match reader.read(&mut byte) {
-                Ok(0) => {
-                    return if buf.is_empty() {
-                        Ok(None) // clean close between requests
-                    } else {
-                        Err(incomplete_error(&buf, false))
-                    };
-                }
-                Ok(_) => buf.push(byte[0]),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    return if buf.is_empty() {
-                        Ok(None) // idle keep-alive connection: close quietly
-                    } else {
-                        Err(incomplete_error(&buf, true))
-                    };
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return Ok(None), // reset mid-idle: nothing to answer
-            },
-        }
-    }
 }
 
 /// The canonical reason phrase for the statuses this service answers.
@@ -453,10 +377,9 @@ pub fn error_body(message: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
     fn parse(bytes: &[u8]) -> Result<Option<Request>, WireError> {
-        read_request(&mut BufReader::new(bytes))
+        parse_request(bytes).map(|parsed| parsed.map(|(request, _)| request))
     }
 
     #[test]
@@ -525,11 +448,6 @@ mod tests {
         assert!(!req.keep_alive);
         let req = parse(b"GET /healthz HTTP/1.0\r\n\r\n").unwrap().unwrap();
         assert!(!req.keep_alive);
-    }
-
-    #[test]
-    fn clean_eof_is_none() {
-        assert_eq!(parse(b"").unwrap(), None);
     }
 
     #[test]
@@ -614,15 +532,6 @@ mod tests {
         assert_eq!((e.status, e.message.contains("body")), (400, true));
         let e = incomplete_error(b"GET /x HT", true);
         assert_eq!(e.status, 408);
-    }
-
-    #[test]
-    fn truncation_is_a_400() {
-        assert_eq!(parse(b"GET /healthz HTT").unwrap_err().status, 400);
-        let err =
-            parse(b"POST /simulate HTTP/1.1\r\ncontent-length: 100\r\n\r\nshort").unwrap_err();
-        assert_eq!(err.status, 400);
-        assert!(err.message.contains("truncated"));
     }
 
     #[test]

@@ -57,8 +57,6 @@ pub struct ServeConfig {
     /// Snapshot path: loaded (if present) at startup, rewritten after
     /// every request that simulated at least one new cell.
     pub snapshot: Option<PathBuf>,
-    /// Event-loop threads (one epoll instance each).
-    pub loops: usize,
     /// Admission-queue bound: heavy requests waiting beyond the worker
     /// pool; the next one is answered 429 + `Retry-After`.
     pub queue_depth: usize,
@@ -80,7 +78,6 @@ impl Default for ServeConfig {
             threads: 4,
             cache_cap: None,
             snapshot: None,
-            loops: 1,
             queue_depth: 128,
             idle_timeout: READ_TIMEOUT,
             request_timeout: READ_TIMEOUT,
@@ -144,7 +141,6 @@ impl Server {
     pub fn bind(config: &ServeConfig) -> Result<Server, String> {
         let loop_config = tier::loop_config(
             config.threads,
-            config.loops,
             config.queue_depth,
             config.idle_timeout,
             config.request_timeout,

@@ -189,7 +189,6 @@ pub enum StreamOutcome {
 /// Builds the event-loop configuration, rejecting an empty pool.
 pub fn loop_config(
     threads: usize,
-    loops: usize,
     queue_depth: usize,
     idle_timeout: Duration,
     request_timeout: Duration,
@@ -198,7 +197,6 @@ pub fn loop_config(
         return Err("thread count must be >= 1 (got `0`)".into());
     }
     Ok(LoopConfig {
-        loops: loops.max(1),
         workers: threads,
         queue_depth: queue_depth.max(1),
         idle_timeout,
@@ -277,8 +275,6 @@ pub struct Core<T> {
     endpoints: Endpoints,
     /// The last `MCDLA_TRACE_CAP` completed request traces.
     recorder: FlightRecorder,
-    /// Slow-request log threshold (`MCDLA_SLOW_MS`; `None` = off).
-    slow_ms: Option<u64>,
     /// Retained series, fed by the sampler.
     history: History,
 }
@@ -400,8 +396,8 @@ impl<T: Tier> Core<T> {
         bytes: u64,
         extra: &[(&str, LogValue)],
     ) {
-        let level = trace::wide_event_level(self.slow_ms, rec.status, rec.total_us);
-        if !mcdla_obs::log::log_enabled(level, T::TARGET) {
+        let level = trace::wide_event_level(rec.status);
+        if !mcdla_obs::log::log_enabled(level) {
             return;
         }
         let cache = match cached {
@@ -893,13 +889,12 @@ impl<T: Tier> Bound<T> {
             started: Instant::now(),
             endpoints: Endpoints::new(T::ENDPOINTS),
             recorder: FlightRecorder::from_env(),
-            slow_ms: trace::slow_ms_from_env(),
             history: History::new(1, 0, |_| {}),
         };
         // The series list is whatever `T::series` pushes: run it once.
         let tick = core.tick();
         core.history = History::new(
-            mcdla_obs::history_cap_from_env(),
+            mcdla_obs::DEFAULT_HISTORY_CAP,
             sample_ms.unwrap_or(0),
             |out| T::series(&Window::new(&tick, &tick), out),
         );
@@ -924,7 +919,7 @@ impl<T: Tier> Bound<T> {
     /// Starts the event loop, the worker pool and the sampler.
     pub fn spawn(self) -> std::io::Result<Running<T>> {
         let addr = self.listener.local_addr()?;
-        let loops = spawn_event_loop(
+        let event_loop = spawn_event_loop(
             self.listener,
             self.core.clone(),
             &self.loop_config,
@@ -944,7 +939,7 @@ impl<T: Tier> Bound<T> {
         Ok(Running {
             addr,
             core: self.core,
-            loops,
+            event_loop,
             sampler,
         })
     }
@@ -955,7 +950,7 @@ impl<T: Tier> Bound<T> {
 pub struct Running<T> {
     addr: SocketAddr,
     core: Arc<Core<T>>,
-    loops: LoopHandle,
+    event_loop: LoopHandle,
     /// The background telemetry sampler (absent when sampling is off).
     sampler: Option<Sampler>,
 }
@@ -979,11 +974,11 @@ impl<T: Tier> Running<T> {
         if let Some(sampler) = self.sampler {
             sampler.stop();
         }
-        self.loops.shutdown();
+        self.event_loop.shutdown();
     }
 
     /// Parks the caller until the event loop exits.
     pub fn join(self) {
-        self.loops.join();
+        self.event_loop.join();
     }
 }

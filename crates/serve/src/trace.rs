@@ -15,8 +15,7 @@
 //!   body under a top-level `"trace"` key;
 //! * every completed request emits one *wide event* — a single flat
 //!   JSON line through [`mcdla_obs::log`] — at `info` when it was
-//!   slow (over `MCDLA_SLOW_MS`), shed, timed out, or 5xx, and at
-//!   `debug` otherwise.
+//!   shed, timed out, or 5xx, and at `debug` otherwise.
 
 use mcdla_obs::log::Level;
 use mcdla_obs::{HistoryDump, TraceRecord};
@@ -150,21 +149,11 @@ pub fn build_value() -> Value {
     ])
 }
 
-/// Reads `MCDLA_SLOW_MS`: a positive integer enables the slow-request
-/// log at that threshold; unset, `0`, or unparsable disables it.
-pub fn slow_ms_from_env() -> Option<u64> {
-    std::env::var("MCDLA_SLOW_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&ms| ms > 0)
-}
-
 /// The wide-event level for a finished request: `info` when it needs
-/// an operator's attention (slow per `MCDLA_SLOW_MS`, shed 429, timed
-/// out 408, or 5xx), `debug` otherwise.
-pub fn wide_event_level(slow_ms: Option<u64>, status: u16, total_us: u64) -> Level {
-    let slow = slow_ms.is_some_and(|ms| total_us >= ms.saturating_mul(1000));
-    if slow || status >= 500 || status == 429 || status == 408 {
+/// an operator's attention (shed 429, timed out 408, or 5xx), `debug`
+/// otherwise.
+pub fn wide_event_level(status: u16) -> Level {
+    if status >= 500 || status == 429 || status == 408 {
         Level::Info
     } else {
         Level::Debug
@@ -177,7 +166,7 @@ pub fn wide_event_level(slow_ms: Option<u64>, status: u16, total_us: u64) -> Lev
 /// `debug`). The connection always closes after this answer.
 pub fn wire_error_answer(target: &str, service: &str, error: &WireError) -> Vec<u8> {
     let rid = mcdla_obs::request_id();
-    let level = wide_event_level(None, error.status, 0);
+    let level = wide_event_level(error.status);
     mcdla_obs::log::log(
         level,
         target,
@@ -323,15 +312,13 @@ mod tests {
 
     #[test]
     fn wide_event_levels_follow_the_outcome() {
-        // Slow, shed, timed-out, and 5xx requests are operator-facing.
-        assert_eq!(wide_event_level(Some(100), 200, 250_000), Level::Info);
-        assert_eq!(wide_event_level(None, 429, 10), Level::Info);
-        assert_eq!(wide_event_level(None, 408, 10), Level::Info);
-        assert_eq!(wide_event_level(None, 500, 10), Level::Info);
+        // Shed, timed-out, and 5xx requests are operator-facing.
+        assert_eq!(wide_event_level(429), Level::Info);
+        assert_eq!(wide_event_level(408), Level::Info);
+        assert_eq!(wide_event_level(500), Level::Info);
         // Ordinary successes and client errors stay at debug volume.
-        assert_eq!(wide_event_level(Some(100), 200, 50_000), Level::Debug);
-        assert_eq!(wide_event_level(None, 200, 250_000), Level::Debug);
-        assert_eq!(wide_event_level(None, 404, 10), Level::Debug);
+        assert_eq!(wide_event_level(200), Level::Debug);
+        assert_eq!(wide_event_level(404), Level::Debug);
     }
 
     #[test]

@@ -63,7 +63,6 @@ struct FlowState {
     path: Vec<ChannelId>,
     remaining: f64, // bytes
     rate: f64,      // bytes/sec, updated on every recompute
-    opened_at: SimTime,
     /// Rate ceiling independent of channel contention (e.g. a DMA engine's
     /// own maximum issue rate). `f64::INFINITY` when unconstrained.
     rate_cap: f64,
@@ -242,7 +241,6 @@ impl FlowNetwork {
                 path: path.to_vec(),
                 remaining: bytes.as_f64(),
                 rate: 0.0,
-                opened_at: at,
                 rate_cap: rate_cap.as_bytes_per_sec(),
             },
         );
@@ -293,7 +291,6 @@ impl FlowNetwork {
                     path,
                     remaining: bytes.as_f64(),
                     rate: 0.0,
-                    opened_at: at,
                     rate_cap: f64::MAX,
                 },
             );
@@ -363,18 +360,6 @@ impl FlowNetwork {
         self.flows
             .get(&flow)
             .map(|f| Bandwidth::bytes_per_sec(f.rate))
-    }
-
-    /// Remaining bytes of `flow`; `None` once completed/unknown.
-    pub fn flow_remaining(&self, flow: FlowId) -> Option<Bytes> {
-        self.flows
-            .get(&flow)
-            .map(|f| Bytes::new(f.remaining.max(0.0).round() as u64))
-    }
-
-    /// Time at which `flow` was opened; `None` once completed/unknown.
-    pub fn flow_opened_at(&self, flow: FlowId) -> Option<SimTime> {
-        self.flows.get(&flow).map(|f| f.opened_at)
     }
 
     /// Runs the network until all flows complete, returning them in

@@ -166,12 +166,6 @@ impl SimDuration {
         self.0 as f64 / PS_PER_SEC as f64
     }
 
-    /// Returns the duration as fractional microseconds.
-    #[inline]
-    pub fn as_us_f64(self) -> f64 {
-        self.0 as f64 / PS_PER_US as f64
-    }
-
     /// Returns the duration as fractional milliseconds.
     #[inline]
     pub fn as_ms_f64(self) -> f64 {

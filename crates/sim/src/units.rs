@@ -248,12 +248,6 @@ impl Bandwidth {
         Bandwidth::bytes_per_sec(gb * 1e9)
     }
 
-    /// Decimal megabytes per second.
-    #[inline]
-    pub fn mb_per_sec(mb: f64) -> Self {
-        Bandwidth::bytes_per_sec(mb * 1e6)
-    }
-
     /// Raw bytes per second.
     #[inline]
     pub fn as_bytes_per_sec(self) -> f64 {

@@ -10,6 +10,8 @@
 //!   never a silent clean end);
 //! * gateway grid output is cell-for-cell identical to a single node
 //!   (modulo `cached`).
+//! * `mcdla cluster` (workers and gateway in one child process) answers
+//!   `POST /simulate` with the report `mcdla simulate` prints.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -102,7 +104,6 @@ fn spawn_gateway(backends: Vec<String>) -> mcdla::cluster::GatewayHandle {
         // kill -9'd loopback worker answers connects with RST anyway.
         timeouts: Timeouts::all(Duration::from_secs(30)),
         probe_interval: None,
-        max_idle_per_worker: 4,
         ..GatewayConfig::default()
     })
     .expect("bind gateway")
@@ -255,4 +256,41 @@ fn kill9_then_gateway_grid_still_matches_a_single_node() {
     };
     assert_eq!(cells(&via_gateway.body), cells(&via_single.body));
     gateway.shutdown();
+}
+
+#[test]
+fn mcdla_cluster_serves_what_mcdla_simulate_computes() {
+    // `mcdla cluster` runs the workers and the gateway in one process
+    // and prints one banner per node, the gateway's last.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mcdla"))
+        .args(["cluster", "--workers", "2", "--addr", "127.0.0.1:0"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn mcdla cluster");
+    let stdout = child.stdout.take().expect("child stdout");
+    let banner = BufReader::new(stdout)
+        .lines()
+        .map(|line| line.expect("read cluster banner"))
+        .find(|line| line.starts_with("mcdla-gateway listening on "))
+        .expect("gateway banner line");
+    let addr = banner
+        .split_whitespace()
+        .nth(3)
+        .unwrap_or_else(|| panic!("no address in banner `{banner}`"))
+        .to_owned();
+    // SIGKILLed on drop, like the worker children.
+    let cluster = WorkerProc { child, addr };
+
+    let body = r#"{"design":"McDlaBwAware","benchmark":"AlexNet","strategy":"DataParallel"}"#;
+    let via_gateway =
+        request_once(&cluster.addr, "POST", "/simulate", Some(body)).expect("simulate via cluster");
+    assert_eq!(via_gateway.status, 200, "{}", via_gateway.body);
+    let cli = Command::new(env!("CARGO_BIN_EXE_mcdla"))
+        .args(["simulate", "--body", body])
+        .output()
+        .expect("run mcdla simulate");
+    assert!(cli.status.success(), "mcdla simulate failed");
+    let cli_body = String::from_utf8(cli.stdout).expect("utf-8 stdout");
+    assert_eq!(report_of(&via_gateway.body), report_of(&cli_body));
 }
