@@ -4,7 +4,10 @@
 //! harmonic-mean speedup. With the scenario space opened up to
 //! thousands of scale-out cells, these snapshots are what keeps the
 //! paper-default numbers from drifting silently: the ~2.84x headline
-//! becomes one of many pinned values instead of the only one.
+//! becomes one of many pinned values instead of the only one. A second
+//! snapshot (`tests/golden/routed.json`) pins the flow-routed prices:
+//! every design on AlexNet and RnnGru, both strategies, all five fabric
+//! topologies, at 8 and 32 devices.
 //!
 //! Regenerating after an *intentional* model change:
 //!
@@ -19,18 +22,20 @@ use std::path::{Path, PathBuf};
 
 use mcdla::core::scenario::global_runner;
 use mcdla::core::{experiment, ScenarioGrid};
+use mcdla::dnn::Benchmark;
+use mcdla::interconnect::FabricTopology;
 use serde::{json, Value};
 
-fn golden_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/paper_default.json")
+fn golden_path(grid: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("tests/golden/{grid}.json"))
 }
 
-/// Renders the paper-default grid into the golden snapshot value. The
-/// cell order is the grid's deterministic expansion order; every field
-/// is a pure function of the simulator, so two runs of the same code
-/// produce byte-identical snapshots.
-fn current_golden() -> Value {
-    let scenarios = ScenarioGrid::paper_default().scenarios();
+/// Renders `grid` into the golden snapshot value. The cell order is the
+/// grid's deterministic expansion order; every field is a pure function
+/// of the simulator, so two runs of the same code produce byte-identical
+/// snapshots. `headline` is appended when the grid has one.
+fn current_golden(name: &str, grid: &ScenarioGrid, headline: Option<f64>) -> Value {
+    let scenarios = grid.scenarios();
     let runs = global_runner().run_grid(&scenarios);
     let cells: Vec<Value> = scenarios
         .iter()
@@ -47,28 +52,39 @@ fn current_golden() -> Value {
             ])
         })
         .collect();
-    Value::Map(vec![
+    let mut fields = vec![
         (
             "generated_by".into(),
             Value::Str("MCDLA_BLESS=1 cargo test --test golden_reports".into()),
         ),
-        ("grid".into(), Value::Str("paper_default".into())),
-        (
-            "headline_speedup".into(),
-            Value::F64(experiment::headline_speedup()),
-        ),
-        ("cells".into(), Value::Seq(cells)),
-    ])
+        ("grid".into(), Value::Str(name.into())),
+    ];
+    if let Some(h) = headline {
+        fields.push(("headline_speedup".into(), Value::F64(h)));
+    }
+    fields.push(("cells".into(), Value::Seq(cells)));
+    Value::Map(fields)
+}
+
+/// The routed grid: every design on one CNN and one RNN, both
+/// strategies, every flow-routed topology, inside one backplane (8
+/// devices) and across four islands (32).
+fn routed_grid() -> ScenarioGrid {
+    ScenarioGrid::paper_default()
+        .benchmarks(&[Benchmark::AlexNet, Benchmark::RnnGru])
+        .topologies(&FabricTopology::ALL)
+        .device_counts(&[8, 32])
 }
 
 fn bless_requested() -> bool {
     std::env::var("MCDLA_BLESS").is_ok_and(|v| v == "1")
 }
 
-#[test]
-fn paper_default_grid_matches_the_golden_snapshot() {
-    let path = golden_path();
-    let current = format!("{}\n", json::to_string_pretty(&current_golden()));
+/// Compares `current` against the committed `tests/golden/{grid}.json`,
+/// or rewrites that file when `MCDLA_BLESS=1`.
+fn check_snapshot(grid: &str, current: &Value) {
+    let path = golden_path(grid);
+    let current = format!("{}\n", json::to_string_pretty(current));
 
     if bless_requested() {
         std::fs::create_dir_all(path.parent().unwrap()).expect("create tests/golden");
@@ -100,7 +116,7 @@ fn paper_default_grid_matches_the_golden_snapshot() {
     assert_eq!(
         want.len(),
         got.len(),
-        "paper-default grid changed size: committed {} cells, current {} \
+        "{grid} grid changed size: committed {} cells, current {} \
          (if intentional, re-bless with MCDLA_BLESS=1)",
         want.len(),
         got.len()
@@ -118,7 +134,7 @@ fn paper_default_grid_matches_the_golden_snapshot() {
     }
     assert!(
         drifted.is_empty(),
-        "{} of {} paper-default cells drifted from the golden snapshot:\n{}\n\
+        "{} of {} {grid} cells drifted from the golden snapshot:\n{}\n\
          if this change is intentional, regenerate with \
          `MCDLA_BLESS=1 cargo test --test golden_reports` and commit the diff",
         drifted.len(),
@@ -133,9 +149,26 @@ fn paper_default_grid_matches_the_golden_snapshot() {
     // Belt and braces: the snapshot is byte-stable end to end.
     assert_eq!(
         committed, current,
-        "golden snapshot bytes differ (field order or formatting changed); \
+        "{grid} snapshot bytes differ (field order or formatting changed); \
          re-bless with MCDLA_BLESS=1 if intentional"
     );
+}
+
+#[test]
+fn paper_default_grid_matches_the_golden_snapshot() {
+    let grid = ScenarioGrid::paper_default();
+    let headline = experiment::headline_speedup();
+    check_snapshot(
+        "paper_default",
+        &current_golden("paper_default", &grid, Some(headline)),
+    );
+}
+
+#[test]
+fn routed_grid_matches_the_golden_snapshot() {
+    let grid = routed_grid();
+    assert_eq!(grid.len(), 240);
+    check_snapshot("routed", &current_golden("routed", &grid, None));
 }
 
 #[test]
