@@ -8,23 +8,21 @@ use mcdla_bench::timing::bench;
 use mcdla_core::{IterationSim, Runner, ScenarioGrid, SystemConfig, SystemDesign};
 use mcdla_dnn::{Benchmark, DataType};
 use mcdla_parallel::ParallelStrategy;
-use mcdla_sim::{Bandwidth, Bytes, FlowNetwork, SimTime};
+use mcdla_sim::{Bandwidth, Bytes, ChannelId, FlowNetwork};
 use mcdla_vmem::{VirtPolicy, VirtSchedule};
 
 fn main() {
     bench("substrates/flow_max_min_32_flows", 20, || {
         let mut net = FlowNetwork::new();
-        let shared = net.add_channel("socket", Bandwidth::gb_per_sec(80.0));
-        let mut paths = Vec::new();
-        for i in 0..32 {
-            let own = net.add_channel(format!("dev{i}"), Bandwidth::gb_per_sec(16.0));
-            paths.push(vec![own, shared]);
-        }
-        for p in &paths {
-            net.open_flow(SimTime::ZERO, p, Bytes::from_mb(100))
-                .unwrap();
-        }
-        black_box(net.drain_all())
+        let shared = net.add_channel(Bandwidth::gb_per_sec(80.0));
+        let paths: Vec<[ChannelId; 2]> = (0..32)
+            .map(|_| [net.add_channel(Bandwidth::gb_per_sec(16.0)), shared])
+            .collect();
+        let flows: Vec<(&[ChannelId], Bytes)> = paths
+            .iter()
+            .map(|p| (&p[..], Bytes::from_mb(100)))
+            .collect();
+        black_box(net.drain(&flows))
     });
 
     for bm in [Benchmark::GoogLeNet, Benchmark::RnnGru] {

@@ -138,26 +138,13 @@ impl VirtPath {
             SystemDesign::DcDlaOracle => {}
             SystemDesign::DcDla => {
                 let sockets: Vec<ChannelId> = (0..cfg.host.sockets)
-                    .map(|s| {
-                        net.add_channel(
-                            format!("socket{s}-dram"),
-                            Bandwidth::gb_per_sec(cfg.host.socket_dram_gbs),
-                        )
-                    })
+                    .map(|_| net.add_channel(Bandwidth::gb_per_sec(cfg.host.socket_dram_gbs)))
                     .collect();
                 let switches: Vec<ChannelId> = (0..cfg.host.pcie_switches)
-                    .map(|s| {
-                        net.add_channel(
-                            format!("pcie-switch{s}"),
-                            Bandwidth::gb_per_sec(cfg.host.pcie.x16_gbs()),
-                        )
-                    })
+                    .map(|_| net.add_channel(Bandwidth::gb_per_sec(cfg.host.pcie.x16_gbs())))
                     .collect();
                 for (d, path) in paths.iter_mut().enumerate() {
-                    let endpoint = net.add_channel(
-                        format!("dev{d}-pcie"),
-                        Bandwidth::gb_per_sec(cfg.host.pcie.x16_gbs()),
-                    );
+                    let endpoint = net.add_channel(Bandwidth::gb_per_sec(cfg.host.pcie.x16_gbs()));
                     // Fixed pairing: devices 2k and 2k+1 share switch k.
                     let switch = switches[(d / 2) % cfg.host.pcie_switches];
                     let socket = sockets[(d / cfg.devices_per_socket()) % cfg.host.sockets];
@@ -166,17 +153,11 @@ impl VirtPath {
             }
             SystemDesign::HcDla => {
                 let sockets: Vec<ChannelId> = (0..cfg.host.sockets)
-                    .map(|s| {
-                        net.add_channel(
-                            format!("socket{s}-dram"),
-                            Bandwidth::gb_per_sec(cfg.host.socket_dram_gbs),
-                        )
-                    })
+                    .map(|_| net.add_channel(Bandwidth::gb_per_sec(cfg.host.socket_dram_gbs)))
                     .collect();
                 let link_gbs = (cfg.device.link_count / 2) as f64 * cfg.device.link_bandwidth_gbs;
                 for (d, path) in paths.iter_mut().enumerate() {
-                    let links = net
-                        .add_channel(format!("dev{d}-hostlinks"), Bandwidth::gb_per_sec(link_gbs));
+                    let links = net.add_channel(Bandwidth::gb_per_sec(link_gbs));
                     let socket = sockets[(d / cfg.devices_per_socket()) % cfg.host.sockets];
                     path.extend([links, socket]);
                 }
@@ -187,18 +168,12 @@ impl VirtPath {
                 // its left/right clients.
                 let vp = VirtPath::from_config(cfg).expect("memory-centric path");
                 let dimms: Vec<ChannelId> = (0..cfg.devices)
-                    .map(|m| {
-                        net.add_channel(
-                            format!("memnode{m}-dimm"),
-                            Bandwidth::gb_per_sec(cfg.memory_node.memory_bandwidth_gbs),
-                        )
+                    .map(|_| {
+                        net.add_channel(Bandwidth::gb_per_sec(cfg.memory_node.memory_bandwidth_gbs))
                     })
                     .collect();
                 for (d, path) in paths.iter_mut().enumerate() {
-                    let links = net.add_channel(
-                        format!("dev{d}-virtlinks"),
-                        Bandwidth::gb_per_sec(vp.per_device_gbs),
-                    );
+                    let links = net.add_channel(Bandwidth::gb_per_sec(vp.per_device_gbs));
                     path.push(links);
                     match cfg.design {
                         SystemDesign::McDlaBwAware => {
@@ -221,7 +196,6 @@ impl VirtPath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcdla_sim::{Bytes, SimTime};
 
     fn path(design: SystemDesign) -> VirtPath {
         VirtPath::from_config(&SystemConfig::new(design)).expect("path")
@@ -295,15 +269,9 @@ mod tests {
             let expect = VirtPath::from_config(&cfg).unwrap().per_device_gbs;
             let mut net = FlowNetwork::new();
             let device_paths = VirtPath::build_flow_channels(&cfg, &mut net);
-            let flows: Vec<_> = device_paths
-                .iter()
-                .map(|p| {
-                    net.open_flow(SimTime::ZERO, p, Bytes::from_gb(10))
-                        .expect("flow")
-                })
-                .collect();
-            for f in flows {
-                let rate = net.flow_rate(f).unwrap().as_gb_per_sec();
+            let paths: Vec<&[ChannelId]> = device_paths.iter().map(Vec::as_slice).collect();
+            for rate in net.rates(&paths) {
+                let rate = rate.as_gb_per_sec();
                 assert!(
                     (rate - expect).abs() < 1e-6,
                     "{design}: fluid {rate} vs static {expect}"

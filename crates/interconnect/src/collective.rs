@@ -162,9 +162,9 @@ impl CollectiveModel {
     }
 
     /// Bytes each **link** of a ring carries during one collective of
-    /// `size_on_ring` bytes — the quantity to inject into a
-    /// [`mcdla_sim::FlowNetwork`] when modeling contention between
-    /// collective and memory-virtualization traffic.
+    /// `size_on_ring` bytes — the size of each per-hop flow a
+    /// [`RoutedFabric`](crate::RoutedFabric) drains through its
+    /// [`mcdla_sim::FlowNetwork`].
     pub fn wire_bytes_per_link(
         &self,
         kind: CollectiveKind,

@@ -13,12 +13,12 @@
 //! (host-PCIe escape channels between backplane islands) the shared links
 //! throttle the drain and reproduce the paper's §VI scale-out cliff.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use serde::Serialize;
 
-use mcdla_sim::{Bandwidth, Bytes, ChannelId, FlowNetwork, SimDuration, SimTime};
+use mcdla_sim::{Bandwidth, Bytes, ChannelId, FlowNetwork, SimDuration};
 
 use crate::collective::{CollectiveKind, CollectiveModel};
 use crate::graph::{NodeId, NodeKind, Topology};
@@ -149,7 +149,7 @@ pub struct RoutedFabric {
     kind: FabricTopology,
     topology: Topology,
     /// One channel per uni-directional link, in link-id order.
-    template: FlowNetwork,
+    channels: FlowNetwork,
     rings: Vec<RingShape>,
     /// `[ring][hop] -> channel route` for the flow batch of one collective.
     ring_hop_paths: Vec<Vec<Vec<ChannelId>>>,
@@ -214,7 +214,7 @@ impl RoutedFabric {
             return RoutedFabric {
                 kind,
                 topology: Topology::new(),
-                template: FlowNetwork::new(),
+                channels: FlowNetwork::new(),
                 rings: Vec::new(),
                 ring_hop_paths: Vec::new(),
             };
@@ -317,16 +317,11 @@ impl RoutedFabric {
             _ => (0..n).collect(),
         };
         // One flow-network channel per link, in link-id order.
-        let mut template = FlowNetwork::new();
+        let mut channels = FlowNetwork::new();
         let chan: Vec<ChannelId> = t
             .links()
             .iter()
-            .map(|l| {
-                template.add_channel(
-                    format!("{}->{}", t.node(l.src()).name(), t.node(l.dst()).name()),
-                    Bandwidth::gb_per_sec(l.bandwidth_gbs()),
-                )
-            })
+            .map(|l| channels.add_channel(Bandwidth::gb_per_sec(l.bandwidth_gbs())))
             .collect();
         // Route every ring hop; plane k takes parallel link k (mod count)
         // between a node pair, so planes get dedicated lanes where the
@@ -368,7 +363,7 @@ impl RoutedFabric {
         RoutedFabric {
             kind,
             topology: t,
-            template,
+            channels,
             rings,
             ring_hop_paths,
         }
@@ -387,11 +382,6 @@ impl RoutedFabric {
     /// The logical collective planes (participants + hop counts).
     pub fn ring_shapes(&self) -> &[RingShape] {
         &self.rings
-    }
-
-    /// Channels in the flow template (= uni-directional links).
-    pub fn channel_count(&self) -> usize {
-        self.template.channel_count()
     }
 
     /// Flows one collective opens (one per ring hop across all planes).
@@ -438,26 +428,19 @@ impl RoutedFabric {
                 continue;
             }
             for route in hops {
-                batch.push((route.clone(), wire));
+                batch.push((route.as_slice(), wire));
                 ring_of.push(r);
             }
         }
         if batch.is_empty() {
             return SimDuration::ZERO;
         }
-        let mut net = self.template.clone();
-        let ids = net
-            .open_flows(SimTime::ZERO, batch)
-            .expect("fabric routes are valid");
-        let Some(done) = net.drain_all() else {
+        let Some(done) = self.channels.drain(&batch) else {
             return SimDuration::MAX; // a starved (zero-capacity) route
         };
-        let finished: HashMap<_, _> = done.into_iter().map(|(t, id)| (id, t)).collect();
         let mut drain = vec![SimDuration::ZERO; self.rings.len()];
-        for (i, id) in ids.iter().enumerate() {
-            let t = SimDuration::from_secs_f64(finished[id].as_secs_f64());
-            let r = ring_of[i];
-            drain[r] = drain[r].max(t);
+        for (t, &r) in done.iter().zip(&ring_of) {
+            drain[r] = drain[r].max(SimDuration::from_secs_f64(t.as_secs_f64()));
         }
         let b = model.link_bandwidth_gbs * 1e9;
         let mut total = SimDuration::ZERO;

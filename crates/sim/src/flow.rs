@@ -1,22 +1,19 @@
 //! Fluid-flow bandwidth model with max-min fair sharing.
 //!
-//! Bulk DMA transfers in the simulated system traverse *paths* of shared
-//! channels — a PCIe switch uplink shared by two GPUs, a CPU socket's DRAM
-//! bandwidth shared by four devices, an NVLINK-class ring link shared between
-//! collective traffic and memory-overlaying traffic. Rather than simulating
+//! A collective's per-hop transfers traverse *paths* of shared channels —
+//! a dedicated ring link, a switch port, a host-PCIe escape channel shared
+//! by every plane crossing a backplane boundary. Rather than simulating
 //! packets, each transfer is a *flow* whose instantaneous rate is the
 //! [max-min fair](https://en.wikipedia.org/wiki/Max-min_fairness) allocation
-//! across all channels on its path. Rates are piecewise constant between
-//! flow arrivals/departures, so the network advances analytically from event
-//! to event with no time-stepping error.
+//! across all channels on its path. One batch of flows starts together at
+//! time zero; rates are piecewise constant between completions, so the
+//! network advances analytically from one completion to the next with no
+//! time-stepping error.
 //!
 //! This is the standard flow-level network abstraction; it reproduces the
-//! bandwidth phenomena the paper cares about (per-device PCIe bandwidth
-//! shrinking proportionally to the number of intra-node devices, socket
-//! memory-bandwidth saturation in HC-DLA) without packet-level cost.
-
-use std::collections::BTreeMap;
-use std::fmt;
+//! bandwidth phenomena the paper cares about (per-device bandwidth shrinking
+//! with the number of flows on a shared link, the §VI host-PCIe cliff when
+//! rings cross backplane islands) without packet-level cost.
 
 use crate::time::{SimDuration, SimTime};
 use crate::units::{Bandwidth, Bytes};
@@ -25,73 +22,7 @@ use crate::units::{Bandwidth, Bytes};
 #[derive(Debug, Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChannelId(usize);
 
-impl ChannelId {
-    /// Index into the network's channel table.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
-impl fmt::Display for ChannelId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ch{}", self.0)
-    }
-}
-
-/// Identifies a flow within a [`FlowNetwork`].
-#[derive(Debug, Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct FlowId(u64);
-
-impl fmt::Display for FlowId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "flow{}", self.0)
-    }
-}
-
-#[derive(Debug, Clone)]
-struct Channel {
-    capacity: f64, // bytes/sec
-    label: String,
-    /// Peak instantaneous throughput observed on this channel.
-    peak_rate: f64,
-    /// Total bytes that have traversed this channel.
-    bytes_carried: f64,
-}
-
-#[derive(Debug, Clone)]
-struct FlowState {
-    path: Vec<ChannelId>,
-    remaining: f64, // bytes
-    rate: f64,      // bytes/sec, updated on every recompute
-    /// Rate ceiling independent of channel contention (e.g. a DMA engine's
-    /// own maximum issue rate). `f64::INFINITY` when unconstrained.
-    rate_cap: f64,
-}
-
-/// Errors returned by [`FlowNetwork`] operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FlowError {
-    /// A flow path referenced a channel id not present in the network.
-    UnknownChannel(ChannelId),
-    /// A flow was opened with an empty path.
-    EmptyPath,
-    /// Time was advanced backwards.
-    TimeRegression,
-}
-
-impl fmt::Display for FlowError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FlowError::UnknownChannel(id) => write!(f, "unknown channel {id}"),
-            FlowError::EmptyPath => f.write_str("flow path must contain at least one channel"),
-            FlowError::TimeRegression => f.write_str("network time may not move backwards"),
-        }
-    }
-}
-
-impl std::error::Error for FlowError {}
-
-/// A network of capacity-limited channels carrying fluid flows.
+/// A table of capacity-limited channels that prices batches of fluid flows.
 ///
 /// # Examples
 ///
@@ -100,414 +31,164 @@ impl std::error::Error for FlowError {}
 /// allocated per device gets proportionally reduced" observation:
 ///
 /// ```
-/// use mcdla_sim::{Bandwidth, Bytes, FlowNetwork, SimTime};
+/// use mcdla_sim::{Bandwidth, Bytes, FlowNetwork};
 ///
 /// let mut net = FlowNetwork::new();
-/// let pcie = net.add_channel("pcie-switch", Bandwidth::gb_per_sec(16.0));
-/// let a = net.open_flow(SimTime::ZERO, &[pcie], Bytes::from_gb(8)).unwrap();
-/// let _b = net.open_flow(SimTime::ZERO, &[pcie], Bytes::from_gb(8)).unwrap();
-///
-/// let (t, done) = net.next_completion().unwrap();
-/// assert_eq!(done, a); // FIFO tie-break: first-opened completes first
-/// assert!((t.as_secs_f64() - 1.0).abs() < 1e-6); // 8 GB at 8 GB/s
+/// let pcie = net.add_channel(Bandwidth::gb_per_sec(16.0));
+/// let done = net
+///     .drain(&[(&[pcie], Bytes::from_gb(8)), (&[pcie], Bytes::from_gb(8))])
+///     .unwrap();
+/// // 8 GB at 8 GB/s each.
+/// assert!(done.iter().all(|t| (t.as_secs_f64() - 1.0).abs() < 1e-6));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FlowNetwork {
-    channels: Vec<Channel>,
-    flows: BTreeMap<FlowId, FlowState>,
-    now: SimTime,
-    next_flow: u64,
+    /// Capacity of each channel in bytes/sec, indexed by [`ChannelId`].
+    capacity: Vec<f64>,
 }
 
 impl FlowNetwork {
-    /// Creates an empty network at time zero.
+    /// Creates a network with no channels.
     pub fn new() -> Self {
         FlowNetwork::default()
     }
 
     /// Adds a channel with the given capacity and returns its id.
-    pub fn add_channel(&mut self, label: impl Into<String>, capacity: Bandwidth) -> ChannelId {
-        let id = ChannelId(self.channels.len());
-        self.channels.push(Channel {
-            capacity: capacity.as_bytes_per_sec(),
-            label: label.into(),
-            peak_rate: 0.0,
-            bytes_carried: 0.0,
-        });
-        id
+    pub fn add_channel(&mut self, capacity: Bandwidth) -> ChannelId {
+        self.capacity.push(capacity.as_bytes_per_sec());
+        ChannelId(self.capacity.len() - 1)
     }
 
-    /// Number of channels.
-    pub fn channel_count(&self) -> usize {
-        self.channels.len()
-    }
-
-    /// Number of in-flight flows.
-    pub fn active_flows(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// Current network time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// The configured capacity of `channel`.
+    /// The max-min fair rate of a flow over each of `paths`, all in flight
+    /// at once, in input order.
     ///
     /// # Panics
     ///
-    /// Panics if `channel` does not belong to this network.
-    pub fn capacity(&self, channel: ChannelId) -> Bandwidth {
-        Bandwidth::bytes_per_sec(self.channels[channel.index()].capacity)
+    /// Panics if a path is empty or names a channel of another network.
+    pub fn rates(&self, paths: &[&[ChannelId]]) -> Vec<Bandwidth> {
+        self.check(paths.iter().copied());
+        self.max_min(paths)
+            .into_iter()
+            .map(Bandwidth::bytes_per_sec)
+            .collect()
     }
 
-    /// Peak instantaneous throughput ever allocated on `channel`.
+    /// Starts every `(path, bytes)` flow at time zero and runs the network
+    /// until all complete, returning each flow's completion time in input
+    /// order. Returns `None` if a flow is starved at zero rate (the network
+    /// cannot drain).
     ///
-    /// This is the quantity behind the paper's Figure 12 "max" bars (peak CPU
-    /// memory-bandwidth draw).
+    /// One completion is retired per re-solve; flows finishing at the same
+    /// instant retire lowest input index first.
     ///
     /// # Panics
     ///
-    /// Panics if `channel` does not belong to this network.
-    pub fn peak_rate(&self, channel: ChannelId) -> Bandwidth {
-        Bandwidth::bytes_per_sec(self.channels[channel.index()].peak_rate)
-    }
-
-    /// Total bytes carried by `channel` so far (behind Figure 12's "avg" bars
-    /// when divided by elapsed time).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` does not belong to this network.
-    pub fn bytes_carried(&self, channel: ChannelId) -> Bytes {
-        Bytes::new(self.channels[channel.index()].bytes_carried.round() as u64)
-    }
-
-    /// Label given to `channel` at creation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` does not belong to this network.
-    pub fn channel_label(&self, channel: ChannelId) -> &str {
-        &self.channels[channel.index()].label
-    }
-
-    /// Opens a flow of `bytes` over `path`, starting at `at`.
-    ///
-    /// Advances the network to `at` first, then recomputes the max-min fair
-    /// rate allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::EmptyPath`] for an empty path,
-    /// [`FlowError::UnknownChannel`] for out-of-range channel ids, and
-    /// [`FlowError::TimeRegression`] if `at` precedes the network clock.
-    pub fn open_flow(
-        &mut self,
-        at: SimTime,
-        path: &[ChannelId],
-        bytes: Bytes,
-    ) -> Result<FlowId, FlowError> {
-        self.open_flow_capped(at, path, bytes, Bandwidth::bytes_per_sec(f64::MAX))
-    }
-
-    /// Like [`FlowNetwork::open_flow`], with an additional per-flow rate
-    /// ceiling (e.g. a DMA engine's maximum issue rate).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FlowNetwork::open_flow`].
-    pub fn open_flow_capped(
-        &mut self,
-        at: SimTime,
-        path: &[ChannelId],
-        bytes: Bytes,
-        rate_cap: Bandwidth,
-    ) -> Result<FlowId, FlowError> {
-        if path.is_empty() {
-            return Err(FlowError::EmptyPath);
-        }
-        for &c in path {
-            if c.index() >= self.channels.len() {
-                return Err(FlowError::UnknownChannel(c));
-            }
-        }
-        self.advance_to(at)?;
-        let id = FlowId(self.next_flow);
-        self.next_flow += 1;
-        self.flows.insert(
-            id,
-            FlowState {
-                path: path.to_vec(),
-                remaining: bytes.as_f64(),
-                rate: 0.0,
-                rate_cap: rate_cap.as_bytes_per_sec(),
-            },
-        );
-        self.recompute_rates();
-        Ok(id)
-    }
-
-    /// Opens a batch of flows at the same instant with a **single** rate
-    /// recompute, and returns their ids in input order.
-    ///
-    /// Equivalent to calling [`FlowNetwork::open_flow`] once per entry at the
-    /// same `at` (rates are a pure function of the in-flight flow set, so one
-    /// recompute at the end lands on the same allocation), but costs one
-    /// progressive-filling pass instead of one per flow — the difference
-    /// between O(n²) and O(n) when a collective opens thousands of per-hop
-    /// flows at once.
-    ///
-    /// The whole batch is validated before any flow is admitted: on error the
-    /// network is unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FlowNetwork::open_flow`].
-    pub fn open_flows(
-        &mut self,
-        at: SimTime,
-        batch: impl IntoIterator<Item = (Vec<ChannelId>, Bytes)>,
-    ) -> Result<Vec<FlowId>, FlowError> {
-        let batch: Vec<(Vec<ChannelId>, Bytes)> = batch.into_iter().collect();
-        for (path, _) in &batch {
-            if path.is_empty() {
-                return Err(FlowError::EmptyPath);
-            }
-            for &c in path.iter() {
-                if c.index() >= self.channels.len() {
-                    return Err(FlowError::UnknownChannel(c));
+    /// Panics if a path is empty or names a channel of another network.
+    pub fn drain(&self, flows: &[(&[ChannelId], Bytes)]) -> Option<Vec<SimTime>> {
+        self.check(flows.iter().map(|f| f.0));
+        let mut done = vec![SimTime::ZERO; flows.len()];
+        // The unfinished flows, in input order: input index, path and
+        // bytes left, kept in step.
+        let mut live: Vec<usize> = (0..flows.len()).collect();
+        let mut paths: Vec<&[ChannelId]> = flows.iter().map(|f| f.0).collect();
+        let mut remaining: Vec<f64> = flows.iter().map(|f| f.1.as_f64()).collect();
+        let mut rates = self.max_min(&paths);
+        let mut now = SimTime::ZERO;
+        while !live.is_empty() {
+            let mut next: Option<(SimTime, usize)> = None;
+            for (pos, (&rate, &left)) in rates.iter().zip(&remaining).enumerate() {
+                let t = if rate > 0.0 {
+                    now + SimDuration::from_secs_f64((left / rate).max(0.0))
+                } else if left <= BYTE_EPSILON {
+                    now
+                } else {
+                    continue; // starved: never completes
+                };
+                if next.is_none_or(|(best, _)| t < best) {
+                    next = Some((t, pos));
                 }
             }
-        }
-        self.advance_to(at)?;
-        let mut ids = Vec::with_capacity(batch.len());
-        for (path, bytes) in batch {
-            let id = FlowId(self.next_flow);
-            self.next_flow += 1;
-            self.flows.insert(
-                id,
-                FlowState {
-                    path,
-                    remaining: bytes.as_f64(),
-                    rate: 0.0,
-                    rate_cap: f64::MAX,
-                },
-            );
-            ids.push(id);
-        }
-        self.recompute_rates();
-        Ok(ids)
-    }
-
-    /// Earliest `(time, flow)` completion among in-flight flows, if any flow
-    /// can complete (a flow starved to zero rate never completes).
-    ///
-    /// Ties break toward the oldest flow id, keeping event order
-    /// deterministic.
-    pub fn next_completion(&self) -> Option<(SimTime, FlowId)> {
-        let mut best: Option<(SimTime, FlowId)> = None;
-        for (&id, f) in &self.flows {
-            if f.rate <= 0.0 {
-                if f.remaining <= BYTE_EPSILON {
-                    // Zero-byte flow: completes immediately.
-                    let cand = (self.now, id);
-                    best = Some(match best {
-                        Some(b) if b <= cand => b,
-                        _ => cand,
-                    });
+            let (t, pos) = next?;
+            let dt = t.saturating_since(now).as_secs_f64();
+            if dt > 0.0 {
+                for (left, &rate) in remaining.iter_mut().zip(&rates) {
+                    *left = (*left - rate * dt).max(0.0);
                 }
-                continue;
             }
-            let secs = (f.remaining / f.rate).max(0.0);
-            let t = self.now + SimDuration::from_secs_f64(secs);
-            let cand = (t, id);
-            best = Some(match best {
-                Some(b) if b <= cand => b,
-                _ => cand,
-            });
-        }
-        best
-    }
-
-    /// Advances the clock to `to`, draining bytes from in-flight flows, and
-    /// returns the flows that completed (in completion order).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::TimeRegression`] if `to` precedes the clock.
-    pub fn advance_to(&mut self, to: SimTime) -> Result<Vec<FlowId>, FlowError> {
-        if to < self.now {
-            return Err(FlowError::TimeRegression);
-        }
-        let mut completed = Vec::new();
-        // Flows complete at staggered instants; process piecewise.
-        while let Some((t, id)) = self.next_completion() {
-            if t > to {
-                break;
-            }
-            self.drain(t);
-            self.flows.remove(&id);
-            completed.push(id);
-            self.recompute_rates();
-        }
-        self.drain(to);
-        Ok(completed)
-    }
-
-    /// Instantaneous rate of `flow`; `None` once completed/unknown.
-    pub fn flow_rate(&self, flow: FlowId) -> Option<Bandwidth> {
-        self.flows
-            .get(&flow)
-            .map(|f| Bandwidth::bytes_per_sec(f.rate))
-    }
-
-    /// Runs the network until all flows complete, returning them in
-    /// completion order. Flows starved at zero rate make this return `None`
-    /// (the network cannot drain).
-    pub fn drain_all(&mut self) -> Option<Vec<(SimTime, FlowId)>> {
-        let mut done = Vec::new();
-        while !self.flows.is_empty() {
-            let (t, id) = self.next_completion()?;
-            if self
-                .flows
-                .get(&id)
-                .map(|f| f.rate <= 0.0 && f.remaining > BYTE_EPSILON)
-                .unwrap_or(false)
-            {
-                return None;
-            }
-            self.drain(t);
-            self.flows.remove(&id);
-            self.recompute_rates();
-            done.push((t, id));
+            now = now.max(t);
+            done[live.remove(pos)] = t;
+            paths.remove(pos);
+            remaining.remove(pos);
+            rates = self.max_min(&paths);
         }
         Some(done)
     }
 
-    /// Moves bytes for elapsed time `self.now..t` at current rates.
-    fn drain(&mut self, t: SimTime) {
-        let dt = t.saturating_since(self.now).as_secs_f64();
-        if dt > 0.0 {
-            for f in self.flows.values_mut() {
-                let moved = f.rate * dt;
-                f.remaining = (f.remaining - moved).max(0.0);
-                for &c in &f.path {
-                    self.channels[c.index()].bytes_carried += moved;
-                }
-            }
+    fn check<'a>(&self, paths: impl IntoIterator<Item = &'a [ChannelId]>) {
+        for path in paths {
+            assert!(!path.is_empty(), "flow path must contain a channel");
+            assert!(
+                path.iter().all(|c| c.0 < self.capacity.len()),
+                "flow path names a channel of another network"
+            );
         }
-        self.now = self.now.max(t);
     }
 
-    /// Progressive-filling max-min fairness.
+    /// Progressive-filling max-min fairness, in bytes/sec per path.
     ///
     /// Repeatedly finds the most-constrained channel (smallest equal share
-    /// for its unfrozen flows), freezes those flows at that share, removes
-    /// the consumed capacity, and iterates. Per-flow rate caps are treated as
-    /// single-flow virtual channels.
-    fn recompute_rates(&mut self) {
-        let n_ch = self.channels.len();
-        let mut residual: Vec<f64> = self.channels.iter().map(|c| c.capacity).collect();
-        let mut load: Vec<usize> = vec![0; n_ch];
-        let ids: Vec<FlowId> = self.flows.keys().copied().collect();
-        let mut unfrozen: Vec<bool> = vec![true; ids.len()];
-        let mut rates: Vec<f64> = vec![0.0; ids.len()];
-        for (i, id) in ids.iter().enumerate() {
-            for &c in &self.flows[id].path {
-                load[c.index()] += 1;
-            }
-            rates[i] = self.flows[id].rate_cap; // provisional ceiling
-            let _ = i;
+    /// for its unfrozen flows, scanning channels in index order), freezes
+    /// every unfrozen flow crossing a channel at that share, removes the
+    /// consumed capacity in flow order, and iterates.
+    fn max_min(&self, paths: &[&[ChannelId]]) -> Vec<f64> {
+        let mut residual = self.capacity.clone();
+        let mut load = vec![0usize; residual.len()];
+        for c in paths.iter().flat_map(|p| p.iter()) {
+            load[c.0] += 1;
         }
-        let mut remaining_flows = ids.len();
-        while remaining_flows > 0 {
-            // Bottleneck share across channels with load.
+        let mut rates = vec![0.0; paths.len()];
+        let mut frozen = vec![false; paths.len()];
+        let mut bottleneck = vec![false; residual.len()];
+        let mut unfrozen = paths.len();
+        while unfrozen > 0 {
             let mut share = f64::INFINITY;
-            for c in 0..n_ch {
-                if load[c] > 0 {
-                    share = share.min(residual[c].max(0.0) / load[c] as f64);
+            for (r, &l) in residual.iter().zip(&load) {
+                if l > 0 {
+                    share = share.min(r.max(0.0) / l as f64);
                 }
             }
-            // Flows whose own cap binds before the channel share freeze at
-            // their cap first.
-            let mut capped_any = false;
-            for (i, id) in ids.iter().enumerate() {
-                if unfrozen[i] && self.flows[id].rate_cap < share {
-                    let r = self.flows[id].rate_cap;
-                    rates[i] = r;
-                    unfrozen[i] = false;
-                    remaining_flows -= 1;
-                    for &c in &self.flows[id].path {
-                        residual[c.index()] -= r;
-                        load[c.index()] -= 1;
-                    }
-                    capped_any = true;
-                }
+            for ((b, r), &l) in bottleneck.iter_mut().zip(&residual).zip(&load) {
+                *b = l > 0 && (r.max(0.0) / l as f64) <= share * (1.0 + RATE_EPSILON);
             }
-            if capped_any {
-                continue; // shares changed; restart the fill step
-            }
-            if !share.is_finite() {
-                break;
-            }
-            // Freeze every unfrozen flow crossing a bottleneck channel.
-            let mut bottlenecks: Vec<usize> = Vec::new();
-            for c in 0..n_ch {
-                if load[c] > 0
-                    && (residual[c].max(0.0) / load[c] as f64) <= share * (1.0 + RATE_EPSILON)
-                {
-                    bottlenecks.push(c);
-                }
-            }
-            let mut froze_any = false;
-            for (i, id) in ids.iter().enumerate() {
-                if !unfrozen[i] {
+            let before = unfrozen;
+            for (i, path) in paths.iter().enumerate() {
+                if frozen[i] || !path.iter().any(|c| bottleneck[c.0]) {
                     continue;
                 }
-                let hits = self.flows[id]
-                    .path
-                    .iter()
-                    .any(|c| bottlenecks.contains(&c.index()));
-                if hits {
-                    rates[i] = share;
-                    unfrozen[i] = false;
-                    remaining_flows -= 1;
-                    for &c in &self.flows[id].path {
-                        residual[c.index()] -= share;
-                        load[c.index()] -= 1;
-                    }
-                    froze_any = true;
+                rates[i] = share;
+                frozen[i] = true;
+                unfrozen -= 1;
+                for c in path.iter() {
+                    residual[c.0] -= share;
+                    load[c.0] -= 1;
                 }
             }
-            if !froze_any {
-                // No channel constrains the remaining flows (shouldn't happen
+            if unfrozen == before {
+                // No channel constrains the remaining flows (cannot happen
                 // for non-empty paths); freeze them at the current share.
-                for (i, _) in ids.iter().enumerate() {
-                    if unfrozen[i] {
-                        rates[i] = share;
-                        unfrozen[i] = false;
-                        remaining_flows -= 1;
+                for (rate, f) in rates.iter_mut().zip(&mut frozen) {
+                    if !*f {
+                        *rate = share;
+                        *f = true;
                     }
                 }
+                break;
             }
         }
-        for (i, id) in ids.iter().enumerate() {
-            let f = self.flows.get_mut(id).expect("flow present");
-            f.rate = rates[i].max(0.0);
+        for r in &mut rates {
+            *r = r.max(0.0);
         }
-        // Track per-channel peak throughput.
-        let mut ch_rate = vec![0.0f64; n_ch];
-        for f in self.flows.values() {
-            for &c in &f.path {
-                ch_rate[c.index()] += f.rate;
-            }
-        }
-        for (c, r) in ch_rate.into_iter().enumerate() {
-            if r > self.channels[c].peak_rate {
-                self.channels[c].peak_rate = r;
-            }
-        }
+        rates
     }
 }
 
@@ -522,39 +203,32 @@ mod tests {
         Bandwidth::gb_per_sec(x)
     }
 
+    fn gb_rates(net: &FlowNetwork, paths: &[&[ChannelId]]) -> Vec<f64> {
+        net.rates(paths).iter().map(|r| r.as_gb_per_sec()).collect()
+    }
+
     #[test]
     fn single_flow_gets_full_capacity() {
         let mut net = FlowNetwork::new();
-        let c = net.add_channel("link", gb(25.0));
-        let f = net
-            .open_flow(SimTime::ZERO, &[c], Bytes::from_gb(50))
-            .unwrap();
-        assert!((net.flow_rate(f).unwrap().as_gb_per_sec() - 25.0).abs() < 1e-9);
-        let (t, id) = net.next_completion().unwrap();
-        assert_eq!(id, f);
-        assert!((t.as_secs_f64() - 2.0).abs() < 1e-9);
+        let c = net.add_channel(gb(25.0));
+        assert!((gb_rates(&net, &[&[c]])[0] - 25.0).abs() < 1e-9);
+        let done = net.drain(&[(&[c], Bytes::from_gb(50))]).unwrap();
+        assert!((done[0].as_secs_f64() - 2.0).abs() < 1e-9);
     }
 
     #[test]
     fn equal_flows_share_equally() {
         let mut net = FlowNetwork::new();
-        let c = net.add_channel("link", gb(16.0));
-        let flows: Vec<_> = (0..4)
-            .map(|_| {
-                net.open_flow(SimTime::ZERO, &[c], Bytes::from_gb(4))
-                    .unwrap()
-            })
-            .collect();
-        for f in &flows {
-            assert!((net.flow_rate(*f).unwrap().as_gb_per_sec() - 4.0).abs() < 1e-9);
+        let c = net.add_channel(gb(16.0));
+        for r in gb_rates(&net, &[&[c][..]; 4]) {
+            assert!((r - 4.0).abs() < 1e-9);
         }
-        // All complete at t=1s; completion order follows flow id.
-        let done = net.drain_all().unwrap();
+        // All complete at t=1s.
+        let done = net.drain(&[(&[c][..], Bytes::from_gb(4)); 4]).unwrap();
         assert_eq!(done.len(), 4);
-        for (t, _) in &done {
+        for t in &done {
             assert!((t.as_secs_f64() - 1.0).abs() < 1e-6);
         }
-        assert_eq!(done.iter().map(|(_, id)| *id).collect::<Vec<_>>(), flows);
     }
 
     #[test]
@@ -564,199 +238,54 @@ mod tests {
         //   step 1: ch2 share = 4/2 = 2  -> A and C frozen at 2
         //   step 2: ch1 residual = 10-2 = 8, only B -> B = 8
         let mut net = FlowNetwork::new();
-        let ch1 = net.add_channel("ch1", gb(10.0));
-        let ch2 = net.add_channel("ch2", gb(4.0));
-        let a = net
-            .open_flow(SimTime::ZERO, &[ch1, ch2], Bytes::from_gb(100))
-            .unwrap();
-        let b = net
-            .open_flow(SimTime::ZERO, &[ch1], Bytes::from_gb(100))
-            .unwrap();
-        let c = net
-            .open_flow(SimTime::ZERO, &[ch2], Bytes::from_gb(100))
-            .unwrap();
-        assert!((net.flow_rate(a).unwrap().as_gb_per_sec() - 2.0).abs() < 1e-9);
-        assert!((net.flow_rate(b).unwrap().as_gb_per_sec() - 8.0).abs() < 1e-9);
-        assert!((net.flow_rate(c).unwrap().as_gb_per_sec() - 2.0).abs() < 1e-9);
+        let ch1 = net.add_channel(gb(10.0));
+        let ch2 = net.add_channel(gb(4.0));
+        let rates = gb_rates(&net, &[&[ch1, ch2], &[ch1], &[ch2]]);
+        assert!((rates[0] - 2.0).abs() < 1e-9);
+        assert!((rates[1] - 8.0).abs() < 1e-9);
+        assert!((rates[2] - 2.0).abs() < 1e-9);
     }
 
     #[test]
     fn departure_frees_bandwidth_for_survivors() {
         let mut net = FlowNetwork::new();
-        let c = net.add_channel("link", gb(10.0));
-        let a = net
-            .open_flow(SimTime::ZERO, &[c], Bytes::from_gb(5))
-            .unwrap();
-        let b = net
-            .open_flow(SimTime::ZERO, &[c], Bytes::from_gb(10))
-            .unwrap();
+        let c = net.add_channel(gb(10.0));
         // Both run at 5 GB/s. A finishes at t=1; B then runs at 10 GB/s and
         // finishes its remaining 5 GB at t=1.5.
-        let done = net.drain_all().unwrap();
-        assert_eq!(done[0].1, a);
-        assert!((done[0].0.as_secs_f64() - 1.0).abs() < 1e-6);
-        assert_eq!(done[1].1, b);
-        assert!((done[1].0.as_secs_f64() - 1.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn late_arrival_slows_existing_flow() {
-        let mut net = FlowNetwork::new();
-        let c = net.add_channel("link", gb(10.0));
-        let a = net
-            .open_flow(SimTime::ZERO, &[c], Bytes::from_gb(10))
+        let done = net
+            .drain(&[(&[c], Bytes::from_gb(5)), (&[c], Bytes::from_gb(10))])
             .unwrap();
-        // At t=0.5, A has 5 GB left; B arrives, both drop to 5 GB/s.
-        let b = net
-            .open_flow(SimTime::from_us(500_000), &[c], Bytes::from_gb(5))
-            .unwrap();
-        let done = net.drain_all().unwrap();
-        // A: 5 GB at 5 GB/s => t = 0.5 + 1.0 = 1.5. B likewise.
-        assert_eq!(done[0].1, a);
-        assert!((done[0].0.as_secs_f64() - 1.5).abs() < 1e-6);
-        assert_eq!(done[1].1, b);
-        assert!((done[1].0.as_secs_f64() - 1.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn rate_cap_binds_before_channel_share() {
-        let mut net = FlowNetwork::new();
-        let c = net.add_channel("link", gb(100.0));
-        let a = net
-            .open_flow_capped(SimTime::ZERO, &[c], Bytes::from_gb(10), gb(10.0))
-            .unwrap();
-        let b = net
-            .open_flow(SimTime::ZERO, &[c], Bytes::from_gb(10))
-            .unwrap();
-        assert!((net.flow_rate(a).unwrap().as_gb_per_sec() - 10.0).abs() < 1e-9);
-        // B soaks up the remainder.
-        assert!((net.flow_rate(b).unwrap().as_gb_per_sec() - 90.0).abs() < 1e-9);
+        assert!((done[0].as_secs_f64() - 1.0).abs() < 1e-6);
+        assert!((done[1].as_secs_f64() - 1.5).abs() < 1e-6);
     }
 
     #[test]
     fn zero_capacity_channel_starves_flow() {
         let mut net = FlowNetwork::new();
-        let c = net.add_channel("dead", Bandwidth::ZERO);
-        let _f = net
-            .open_flow(SimTime::ZERO, &[c], Bytes::from_gb(1))
-            .unwrap();
-        assert_eq!(net.next_completion(), None);
-        assert_eq!(net.drain_all(), None);
+        let c = net.add_channel(Bandwidth::ZERO);
+        assert_eq!(gb_rates(&net, &[&[c]]), vec![0.0]);
+        assert_eq!(net.drain(&[(&[c], Bytes::from_gb(1))]), None);
     }
 
     #[test]
     fn zero_byte_flow_completes_immediately() {
         let mut net = FlowNetwork::new();
-        let c = net.add_channel("link", gb(1.0));
-        let f = net
-            .open_flow(SimTime::from_ns(5), &[c], Bytes::ZERO)
-            .unwrap();
-        let (t, id) = net.next_completion().unwrap();
-        assert_eq!((t, id), (SimTime::from_ns(5), f));
+        let c = net.add_channel(gb(1.0));
+        assert_eq!(net.drain(&[(&[c], Bytes::ZERO)]), Some(vec![SimTime::ZERO]));
     }
 
     #[test]
+    #[should_panic(expected = "must contain a channel")]
     fn rejects_bad_inputs() {
         let mut net = FlowNetwork::new();
-        let c = net.add_channel("link", gb(1.0));
-        assert_eq!(
-            net.open_flow(SimTime::ZERO, &[], Bytes::new(1)),
-            Err(FlowError::EmptyPath)
-        );
-        assert_eq!(
-            net.open_flow(SimTime::ZERO, &[ChannelId(99)], Bytes::new(1)),
-            Err(FlowError::UnknownChannel(ChannelId(99)))
-        );
-        net.open_flow(SimTime::from_us(10), &[c], Bytes::new(1))
-            .unwrap();
-        assert_eq!(
-            net.advance_to(SimTime::from_us(5)),
-            Err(FlowError::TimeRegression)
-        );
+        let c = net.add_channel(gb(1.0));
+        net.drain(&[(&[c], Bytes::new(1)), (&[], Bytes::new(1))]);
     }
 
     #[test]
-    fn peak_rate_and_bytes_carried_accounting() {
-        let mut net = FlowNetwork::new();
-        let c = net.add_channel("socket-dram", gb(80.0));
-        for _ in 0..4 {
-            net.open_flow(SimTime::ZERO, &[c], Bytes::from_gb(20))
-                .unwrap();
-        }
-        assert!((net.peak_rate(c).as_gb_per_sec() - 80.0).abs() < 1e-9);
-        net.drain_all().unwrap();
-        assert!((net.bytes_carried(c).as_gb() - 80.0).abs() < 1e-6);
-        assert_eq!(net.channel_label(c), "socket-dram");
-    }
-
-    #[test]
-    fn batch_open_matches_sequential_opens() {
-        let mut seq = FlowNetwork::new();
-        let mut bat = FlowNetwork::new();
-        let cs: Vec<ChannelId> = (0..3)
-            .map(|i| seq.add_channel(format!("l{i}"), gb(10.0)))
-            .collect();
-        let cb: Vec<ChannelId> = (0..3)
-            .map(|i| bat.add_channel(format!("l{i}"), gb(10.0)))
-            .collect();
-        let specs: Vec<(Vec<usize>, u64)> =
-            vec![(vec![0], 4), (vec![0, 1], 8), (vec![1, 2], 2), (vec![2], 6)];
-        for (path, gbs) in &specs {
-            let p: Vec<ChannelId> = path.iter().map(|&i| cs[i]).collect();
-            seq.open_flow(SimTime::ZERO, &p, Bytes::from_gb(*gbs))
-                .unwrap();
-        }
-        bat.open_flows(
-            SimTime::ZERO,
-            specs.iter().map(|(path, gbs)| {
-                (
-                    path.iter().map(|&i| cb[i]).collect::<Vec<_>>(),
-                    Bytes::from_gb(*gbs),
-                )
-            }),
-        )
-        .unwrap();
-        let ds = seq.drain_all().unwrap();
-        let db = bat.drain_all().unwrap();
-        assert_eq!(ds.len(), db.len());
-        for ((ts, _), (tb, _)) in ds.iter().zip(&db) {
-            assert!((ts.as_secs_f64() - tb.as_secs_f64()).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn batch_open_is_all_or_nothing() {
-        let mut net = FlowNetwork::new();
-        let c = net.add_channel("link", gb(1.0));
-        let err = net.open_flows(
-            SimTime::ZERO,
-            vec![(vec![c], Bytes::from_gb(1)), (vec![], Bytes::from_gb(1))],
-        );
-        assert_eq!(err, Err(FlowError::EmptyPath));
-        assert_eq!(net.active_flows(), 0);
-    }
-
-    #[test]
-    fn advance_collects_completions_in_order() {
-        let mut net = FlowNetwork::new();
-        let c = net.add_channel("link", gb(1.0));
-        let a = net
-            .open_flow(SimTime::ZERO, &[c], Bytes::from_mb(500))
-            .unwrap();
-        let b = net
-            .open_flow(SimTime::ZERO, &[c], Bytes::from_mb(1500))
-            .unwrap();
-        // Shares 0.5 GB/s each: A done at t=1s; then B alone at 1 GB/s, 1 GB
-        // left, done at t=2s.
-        let done = net.advance_to(SimTime::from_secs(3)).unwrap();
-        assert_eq!(done, vec![a, b]);
-        assert_eq!(net.active_flows(), 0);
-        assert_eq!(net.now(), SimTime::from_secs(3));
-    }
-
-    impl SimTime {
-        fn from_secs(s: u64) -> SimTime {
-            SimTime::from_ps(s * 1_000_000_000_000)
-        }
+    #[should_panic(expected = "another network")]
+    fn rejects_foreign_channel() {
+        let net = FlowNetwork::new();
+        net.rates(&[&[ChannelId(99)]]);
     }
 }

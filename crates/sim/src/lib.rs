@@ -11,8 +11,8 @@
 //!   protocol/communication engine) that accumulates the busy time stacked
 //!   in the paper's Figure 11.
 //! * [`FlowNetwork`] — a max-min-fair fluid-flow bandwidth model for shared
-//!   channels (PCIe switches, CPU socket DRAM, NVLINK-class links, DIMM
-//!   bandwidth), giving contention effects without packet-level simulation.
+//!   channels (ring links, switch ports, host-PCIe escape channels), giving
+//!   contention effects without packet-level simulation.
 //! * [`stats`] — harmonic means and normalization helpers used throughout
 //!   the evaluation (§V reports all averages as harmonic means).
 //!
@@ -22,16 +22,17 @@
 //! among intra-node devices:
 //!
 //! ```
-//! use mcdla_sim::{Bandwidth, Bytes, FlowNetwork, SimTime};
+//! use mcdla_sim::{Bandwidth, Bytes, FlowNetwork};
 //!
 //! let mut net = FlowNetwork::new();
-//! let socket = net.add_channel("socket-dram", Bandwidth::gb_per_sec(80.0));
+//! let socket = net.add_channel(Bandwidth::gb_per_sec(80.0));
 //! // Four devices offloading feature maps concurrently through one socket.
-//! let flows: Vec<_> = (0..4)
-//!     .map(|_| net.open_flow(SimTime::ZERO, &[socket], Bytes::from_gb(20)).unwrap())
-//!     .collect();
-//! // Each device only sees a quarter of the socket bandwidth.
-//! assert!((net.flow_rate(flows[0]).unwrap().as_gb_per_sec() - 20.0).abs() < 1e-9);
+//! let rates = net.rates(&[&[socket][..]; 4]);
+//! // Each device only sees a quarter of the socket bandwidth...
+//! assert!((rates[0].as_gb_per_sec() - 20.0).abs() < 1e-9);
+//! // ...so 20 GB each takes a second.
+//! let done = net.drain(&[(&[socket][..], Bytes::from_gb(20)); 4]).unwrap();
+//! assert!((done[3].as_secs_f64() - 1.0).abs() < 1e-6);
 //! ```
 
 #![warn(missing_docs)]
@@ -44,6 +45,6 @@ mod time;
 mod units;
 
 pub use engine::{Completion, FifoEngine};
-pub use flow::{ChannelId, FlowError, FlowId, FlowNetwork};
+pub use flow::{ChannelId, FlowNetwork};
 pub use time::{SimDuration, SimTime};
 pub use units::{Bandwidth, Bytes};

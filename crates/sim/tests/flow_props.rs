@@ -3,7 +3,7 @@
 //! which the offline build environment cannot fetch; every case is
 //! deterministic per seed, so failures reproduce exactly).
 
-use mcdla_sim::{Bandwidth, Bytes, FlowNetwork, SimTime};
+use mcdla_sim::{Bandwidth, Bytes, ChannelId, FlowNetwork};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -26,27 +26,42 @@ fn network_and_flows(seed: u64) -> (Vec<f64>, Vec<(Vec<usize>, u64)>) {
     (caps, flows)
 }
 
+/// Builds `caps` (GB/s) as channels and maps each flow's channel indexes
+/// onto them.
+fn build(caps: &[f64], flows: &[(Vec<usize>, u64)]) -> (FlowNetwork, Vec<Vec<ChannelId>>) {
+    let mut net = FlowNetwork::new();
+    let chs: Vec<_> = caps
+        .iter()
+        .map(|c| net.add_channel(Bandwidth::gb_per_sec(*c)))
+        .collect();
+    let paths = flows
+        .iter()
+        .map(|(path, _)| path.iter().map(|i| chs[*i]).collect())
+        .collect();
+    (net, paths)
+}
+
+fn batch<'a>(
+    paths: &'a [Vec<ChannelId>],
+    flows: &[(Vec<usize>, u64)],
+) -> Vec<(&'a [ChannelId], Bytes)> {
+    paths
+        .iter()
+        .zip(flows)
+        .map(|(p, (_, bytes))| (p.as_slice(), Bytes::new(*bytes)))
+        .collect()
+}
+
 #[test]
 fn channel_capacity_never_exceeded() {
     for seed in 0..SEEDS {
         let (caps, flows) = network_and_flows(seed);
-        let mut net = FlowNetwork::new();
-        let chs: Vec<_> = caps
-            .iter()
-            .map(|c| net.add_channel("ch", Bandwidth::gb_per_sec(*c)))
-            .collect();
-        let mut ids = Vec::new();
-        for (path, bytes) in &flows {
-            let p: Vec<_> = path.iter().map(|i| chs[*i]).collect();
-            ids.push(
-                net.open_flow(SimTime::ZERO, &p, Bytes::new(*bytes))
-                    .unwrap(),
-            );
-        }
+        let (net, paths) = build(&caps, &flows);
+        let refs: Vec<&[ChannelId]> = paths.iter().map(Vec::as_slice).collect();
         // Sum of allocated rates through each channel <= capacity (+eps).
         let mut through = vec![0.0f64; caps.len()];
-        for (id, (path, _)) in ids.iter().zip(&flows) {
-            let rate = net.flow_rate(*id).unwrap().as_gb_per_sec();
+        for (rate, (path, _)) in net.rates(&refs).iter().zip(&flows) {
+            let rate = rate.as_gb_per_sec();
             assert!(rate >= 0.0, "seed {seed}: negative rate");
             for i in path {
                 through[*i] += rate;
@@ -65,23 +80,26 @@ fn channel_capacity_never_exceeded() {
 fn all_flows_drain() {
     for seed in 0..SEEDS {
         let (caps, flows) = network_and_flows(seed);
-        let mut net = FlowNetwork::new();
-        let chs: Vec<_> = caps
-            .iter()
-            .map(|c| net.add_channel("ch", Bandwidth::gb_per_sec(*c)))
-            .collect();
-        for (path, bytes) in &flows {
-            let p: Vec<_> = path.iter().map(|i| chs[*i]).collect();
-            net.open_flow(SimTime::ZERO, &p, Bytes::new(*bytes))
-                .unwrap();
-        }
-        let done = net.drain_all().expect("positive capacities must drain");
+        let (net, paths) = build(&caps, &flows);
+        let done = net
+            .drain(&batch(&paths, &flows))
+            .expect("positive capacities must drain");
         assert_eq!(done.len(), flows.len(), "seed {seed}");
-        // Completion times are non-decreasing.
-        for w in done.windows(2) {
-            assert!(w[0].0 <= w[1].0, "seed {seed}: completions out of order");
+        // No channel moves its bytes faster than its capacity allows: the
+        // last completion is no earlier than any channel's serial time.
+        let last = done.iter().map(|t| t.as_secs_f64()).fold(0.0, f64::max);
+        for (i, cap) in caps.iter().enumerate() {
+            let carried: u64 = flows
+                .iter()
+                .map(|(path, bytes)| bytes * path.iter().filter(|p| **p == i).count() as u64)
+                .sum();
+            let serial = carried as f64 / (cap * 1e9);
+            assert!(
+                last >= serial * (1.0 - 1e-6),
+                "seed {seed}: channel {i} carried {carried} bytes in {last}s, \
+                 faster than its {serial}s serial time"
+            );
         }
-        assert_eq!(net.active_flows(), 0, "seed {seed}");
     }
 }
 
@@ -97,78 +115,18 @@ fn single_channel_work_conserving() {
             .map(|_| rng.gen_range(1u64..10_000_000_000))
             .collect();
         let mut net = FlowNetwork::new();
-        let ch = net.add_channel("ch", Bandwidth::gb_per_sec(cap_gb));
-        for s in &sizes {
-            net.open_flow(SimTime::ZERO, &[ch], Bytes::new(*s)).unwrap();
-        }
-        let done = net.drain_all().unwrap();
+        let ch = [net.add_channel(Bandwidth::gb_per_sec(cap_gb))];
+        let flows: Vec<(&[ChannelId], Bytes)> =
+            sizes.iter().map(|s| (&ch[..], Bytes::new(*s))).collect();
+        let done = net.drain(&flows).unwrap();
         let total: u64 = sizes.iter().sum();
         let expect_secs = total as f64 / (cap_gb * 1e9);
-        let last = done.last().unwrap().0.as_secs_f64();
+        let last = done.iter().map(|t| t.as_secs_f64()).fold(0.0, f64::max);
         // The channel is always fully utilized until the last byte moves.
         assert!(
             (last - expect_secs).abs() <= expect_secs * 1e-6 + 1e-9,
             "seed {seed}: last completion {last}, expected {expect_secs}"
         );
-    }
-}
-
-#[test]
-fn bytes_carried_matches_flow_sizes() {
-    // Conservation: what the channel carried equals the sum of all flow
-    // sizes routed through it.
-    for seed in 0..SEEDS {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n = rng.gen_range(1..10usize);
-        let sizes: Vec<u64> = (0..n).map(|_| rng.gen_range(1u64..1_000_000_000)).collect();
-        let mut net = FlowNetwork::new();
-        let ch = net.add_channel("ch", Bandwidth::gb_per_sec(10.0));
-        for s in &sizes {
-            net.open_flow(SimTime::ZERO, &[ch], Bytes::new(*s)).unwrap();
-        }
-        net.drain_all().unwrap();
-        let total: u64 = sizes.iter().sum();
-        let carried = net.bytes_carried(ch).as_u64();
-        let tolerance = total / 1000 + 8;
-        assert!(
-            carried.abs_diff(total) <= tolerance,
-            "seed {seed}: carried {carried}, expected {total}"
-        );
-    }
-}
-
-#[test]
-fn routed_flows_conserve_bytes_per_channel() {
-    // Conservation generalizes to multi-link routes: every channel ends
-    // up having carried exactly the bytes of the flows routed over it
-    // (a flow deposits its full size on *each* link of its path).
-    for seed in 0..SEEDS {
-        let (caps, flows) = network_and_flows(seed);
-        let mut net = FlowNetwork::new();
-        let chs: Vec<_> = caps
-            .iter()
-            .map(|c| net.add_channel("ch", Bandwidth::gb_per_sec(*c)))
-            .collect();
-        for (path, bytes) in &flows {
-            let p: Vec<_> = path.iter().map(|i| chs[*i]).collect();
-            net.open_flow(SimTime::ZERO, &p, Bytes::new(*bytes))
-                .unwrap();
-        }
-        net.drain_all().unwrap();
-        for (i, ch) in chs.iter().enumerate() {
-            // A path may traverse the same channel more than once; each
-            // traversal carries the bytes again.
-            let expect: u64 = flows
-                .iter()
-                .map(|(path, bytes)| bytes * path.iter().filter(|p| **p == i).count() as u64)
-                .sum();
-            let carried = net.bytes_carried(*ch).as_u64();
-            let tolerance = expect / 1000 + 8;
-            assert!(
-                carried.abs_diff(expect) <= tolerance,
-                "seed {seed}: channel {i} carried {carried}, expected {expect}"
-            );
-        }
     }
 }
 
@@ -182,25 +140,20 @@ fn symmetric_flows_share_a_link_equally() {
         let n = rng.gen_range(2..10usize);
         let bytes = rng.gen_range(1_000_000u64..1_000_000_000);
         let mut net = FlowNetwork::new();
-        let ch = net.add_channel("ch", Bandwidth::gb_per_sec(cap_gb));
-        let ids: Vec<_> = (0..n)
-            .map(|_| {
-                net.open_flow(SimTime::ZERO, &[ch], Bytes::new(bytes))
-                    .unwrap()
-            })
-            .collect();
+        let ch = net.add_channel(Bandwidth::gb_per_sec(cap_gb));
         let fair = cap_gb / n as f64;
-        for id in &ids {
-            let rate = net.flow_rate(*id).unwrap().as_gb_per_sec();
+        for rate in net.rates(&vec![&[ch][..]; n]) {
+            let rate = rate.as_gb_per_sec();
             assert!(
                 (rate - fair).abs() <= fair * 1e-9,
                 "seed {seed}: rate {rate} != fair share {fair} of {n} flows"
             );
         }
         // ...and being identical, they all finish at the same instant.
-        let done = net.drain_all().unwrap();
-        let first = done.first().unwrap().0.as_secs_f64();
-        let last = done.last().unwrap().0.as_secs_f64();
+        let done = net.drain(&vec![(&[ch][..], Bytes::new(bytes)); n]).unwrap();
+        let secs: Vec<f64> = done.iter().map(|t| t.as_secs_f64()).collect();
+        let first = secs.iter().copied().fold(f64::INFINITY, f64::min);
+        let last = secs.iter().copied().fold(0.0, f64::max);
         assert!(
             (last - first).abs() <= first * 1e-9 + 1e-12,
             "seed {seed}: symmetric flows finished apart: {first} vs {last}"
@@ -211,27 +164,19 @@ fn symmetric_flows_share_a_link_equally() {
 #[test]
 fn open_order_does_not_change_completion_times() {
     // Flows released at the same instant must complete at the same
-    // times whatever order they were opened in — the fluid model has no
-    // hidden arrival-order priority.
+    // times whatever order they are listed in — the fluid model has no
+    // hidden input-order priority.
     for seed in 0..SEEDS {
         let (caps, flows) = network_and_flows(seed);
         let run = |order: &[usize]| -> Vec<f64> {
-            let mut net = FlowNetwork::new();
-            let chs: Vec<_> = caps
-                .iter()
-                .map(|c| net.add_channel("ch", Bandwidth::gb_per_sec(*c)))
-                .collect();
-            for &fi in order {
-                let (path, bytes) = &flows[fi];
-                let p: Vec<_> = path.iter().map(|i| chs[*i]).collect();
-                net.open_flow(SimTime::ZERO, &p, Bytes::new(*bytes))
-                    .unwrap();
-            }
+            let listed: Vec<(Vec<usize>, u64)> =
+                order.iter().map(|&fi| flows[fi].clone()).collect();
+            let (net, paths) = build(&caps, &listed);
             let mut done: Vec<f64> = net
-                .drain_all()
+                .drain(&batch(&paths, &listed))
                 .unwrap()
                 .into_iter()
-                .map(|(t, _)| t.as_secs_f64())
+                .map(|t| t.as_secs_f64())
                 .collect();
             done.sort_by(f64::total_cmp);
             done
@@ -254,30 +199,5 @@ fn open_order_does_not_change_completion_times() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn later_release_never_finishes_earlier() {
-    // Monotonicity of the fluid model under staggered arrivals.
-    for seed in 0..SEEDS {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let bytes = rng.gen_range(1_000_000u64..5_000_000_000);
-        let delay_us = rng.gen_range(0u64..2_000_000);
-        let run = |delay: u64| -> f64 {
-            let mut net = FlowNetwork::new();
-            let ch = net.add_channel("ch", Bandwidth::gb_per_sec(5.0));
-            net.open_flow(SimTime::ZERO, &[ch], Bytes::new(bytes))
-                .unwrap();
-            net.open_flow(SimTime::from_us(delay), &[ch], Bytes::new(bytes))
-                .unwrap();
-            net.drain_all().unwrap().last().unwrap().0.as_secs_f64()
-        };
-        let t0 = run(0);
-        let t1 = run(delay_us);
-        assert!(
-            t1 >= t0 - 1e-6,
-            "seed {seed}: later release finished earlier: {t1} < {t0}"
-        );
     }
 }
