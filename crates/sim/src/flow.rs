@@ -274,18 +274,30 @@ mod tests {
         assert_eq!(net.drain(&[(&[c], Bytes::ZERO)]), Some(vec![SimTime::ZERO]));
     }
 
-    #[test]
-    #[should_panic(expected = "must contain a channel")]
-    fn rejects_bad_inputs() {
-        let mut net = FlowNetwork::new();
-        let c = net.add_channel(gb(1.0));
-        net.drain(&[(&[c], Bytes::new(1)), (&[], Bytes::new(1))]);
+    /// Runs `f` and returns the message it panicked with.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("bad input must panic");
+        match payload.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(payload) => payload
+                .downcast::<&str>()
+                .map(|msg| msg.to_string())
+                .unwrap_or_default(),
+        }
     }
 
     #[test]
-    #[should_panic(expected = "another network")]
-    fn rejects_foreign_channel() {
-        let net = FlowNetwork::new();
-        net.rates(&[&[ChannelId(99)]]);
+    fn rejects_bad_inputs() {
+        let mut net = FlowNetwork::new();
+        let c = net.add_channel(gb(1.0));
+        let empty = panic_message(|| {
+            net.drain(&[(&[c], Bytes::new(1)), (&[], Bytes::new(1))]);
+        });
+        assert!(empty.contains("must contain a channel"), "{empty}");
+        let foreign = panic_message(|| {
+            net.rates(&[&[ChannelId(99)]]);
+        });
+        assert!(foreign.contains("another network"), "{foreign}");
     }
 }
