@@ -40,8 +40,6 @@ pub enum Unit {
     Ratio,
     /// A speedup multiple (`5.72x`).
     SpeedupX,
-    /// A bare count.
-    Count,
 }
 
 fn fmt_value(value: f64, unit: Unit) -> String {
@@ -58,7 +56,6 @@ fn fmt_value(value: f64, unit: Unit) -> String {
         Unit::Millis => format!("{value:.2} ms"),
         Unit::Ratio => format!("{:.1}%", value * 100.0),
         Unit::SpeedupX => format!("{value:.2}x"),
-        Unit::Count => format!("{value:.0}"),
     }
 }
 
@@ -85,6 +82,14 @@ fn num(value: &Value) -> Option<f64> {
 
 fn lookup(root: Option<&Value>, path: &[&str]) -> Option<f64> {
     root.and_then(|v| get(v, path)).and_then(num)
+}
+
+/// `mcdla sweep`'s throughput: every cell it emitted over the sweep's
+/// wall time (`None` when either field is missing or no time elapsed).
+fn sweep_cells_per_sec(scenarios: Option<&Value>) -> Option<f64> {
+    let cells = lookup(scenarios, &["cells_total"])?;
+    let wall_ms = lookup(scenarios, &["total_wall_ms"]).filter(|&ms| ms > 0.0)?;
+    Some(cells / (wall_ms / 1e3))
 }
 
 /// The headline metrics of every benchmark family, extracted from the
@@ -148,9 +153,9 @@ fn headlines(files: &[(&'static str, Option<Value>)]) -> Vec<Headline> {
         },
         Headline {
             file: "BENCH_scenarios.json",
-            metric: "mega-grid cells",
-            value: lookup(scenarios, &["cells_total"]),
-            unit: Unit::Count,
+            metric: "sweep cells/s",
+            value: sweep_cells_per_sec(scenarios),
+            unit: Unit::PerSec,
             floor: None,
         },
         Headline {
@@ -278,6 +283,21 @@ mod tests {
         assert_eq!(cached.value, Some(77000.0));
         let store = rows.iter().find(|h| h.file == "BENCH_store.json").unwrap();
         assert_eq!(store.value, None);
+    }
+
+    #[test]
+    fn sweep_headline_is_cells_per_second() {
+        let sweep = |body: &str| {
+            let rows = headlines(&[("BENCH_scenarios.json", serde::json::parse(body).ok())]);
+            let row = rows.into_iter().find(|h| h.metric == "sweep cells/s");
+            row.unwrap().value
+        };
+        assert_eq!(
+            sweep(r#"{"cells_total": 96, "total_wall_ms": 48.0}"#),
+            Some(2000.0)
+        );
+        assert_eq!(sweep(r#"{"cells_total": 96, "total_wall_ms": 0.0}"#), None);
+        assert_eq!(sweep(r#"{"cells_total": 96}"#), None);
     }
 
     #[test]

@@ -335,11 +335,12 @@ mod tests {
                 let stage = s.get("stage").and_then(|v| v.as_str()).unwrap();
                 let hits = s.get("hits").and_then(|v| v.as_u64()).unwrap();
                 let misses = s.get("misses").and_then(|v| v.as_u64()).unwrap();
-                // The per-op collective table only sees traffic when the
-                // per-plan sync vector misses; on a warm knob grid it is
+                // The sync and collective tables memoize flow-routed
+                // collectives only; both grids are analytical, whose
+                // collectives are priced inline, so those two tables are
                 // legitimately idle.
                 assert!(
-                    hits + misses > 0 || stage == "collective",
+                    hits + misses > 0 || stage == "collective" || stage == "sync",
                     "stage saw no traffic: {s:?}"
                 );
             }

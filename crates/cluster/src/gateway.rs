@@ -33,6 +33,10 @@ use crate::router::{Router, WorkerState};
 /// (same bound as the worker).
 const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// Admission-queue bound: fleet-bound requests waiting beyond the
+/// worker pool; the next one is answered 429 + `Retry-After`.
+const QUEUE_DEPTH: usize = 128;
+
 /// Everything `mcdla gateway` configures.
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
@@ -50,9 +54,6 @@ pub struct GatewayConfig {
     /// Background health-probe period (`None` disables the prober;
     /// health is then tracked passively from request outcomes only).
     pub probe_interval: Option<Duration>,
-    /// Admission-queue bound: fleet-bound requests waiting beyond the
-    /// worker pool; the next one is answered 429 + `Retry-After`.
-    pub queue_depth: usize,
     /// Telemetry sampling cadence in milliseconds. `None` defers to
     /// `MCDLA_SAMPLE_MS` (default 1s); `Some(0)` disables the sampler.
     pub sample_ms: Option<u64>,
@@ -66,7 +67,6 @@ impl Default for GatewayConfig {
             backends: Vec::new(),
             timeouts: Timeouts::default(),
             probe_interval: Some(Duration::from_secs(2)),
-            queue_depth: 128,
             sample_ms: None,
         }
     }
@@ -104,12 +104,8 @@ pub struct GatewayHandle {
 impl Gateway {
     /// Binds the listener and builds the router over the backends.
     pub fn bind(config: &GatewayConfig) -> Result<Gateway, String> {
-        let loop_config = tier::loop_config(
-            config.threads,
-            config.queue_depth,
-            READ_TIMEOUT,
-            READ_TIMEOUT,
-        )?;
+        let loop_config =
+            tier::loop_config(config.threads, QUEUE_DEPTH, READ_TIMEOUT, READ_TIMEOUT)?;
         let router = Router::new(config.backends.iter().cloned(), config.timeouts)?;
         Ok(Gateway {
             bound: Bound::bind(
@@ -841,7 +837,6 @@ pub fn spawn_local_fleet(config: &FleetConfig) -> Result<LocalFleet, String> {
         timeouts: config.timeouts,
         probe_interval: config.probe_interval,
         sample_ms: config.sample_ms,
-        ..GatewayConfig::default()
     })?;
     let gateway = gateway
         .spawn()

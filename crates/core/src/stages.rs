@@ -21,14 +21,17 @@
 //!    global batch`, with the batch axis *normalized away* for
 //!    batch-invariant data-parallel plans), and the overlay schedule
 //!    (`benchmark × virt batch × virtualizing?`).
-//! 3. **Collective cost** — two levels. The `collective` table holds
-//!    one striped ring collective's latency, keyed by `(fabric summary,
-//!    kind, gradient bytes)`; data-parallel dW buckets are
-//!    batch-invariant, so a batch sweep hits it after the first cell
-//!    per design. The `sync` table above it holds a plan's whole fused
-//!    sync-op cost vector, keyed by `(fabric summary, worker plan)` —
-//!    one lookup per cell instead of one per op, with misses reading
-//!    through the per-op table.
+//! 3. **Collective cost** — on the analytical fabric, uncached: each
+//!    fused op is priced inline by the same closed form the monolithic
+//!    path calls, which costs less than a table lookup. Flow-routed
+//!    cells (one max-min drain per collective) use two levels. The
+//!    `collective` table holds one routed collective's drain time,
+//!    keyed by `(fabric summary, kind, gradient bytes)`; data-parallel
+//!    dW buckets are batch-invariant, so a batch sweep hits it after
+//!    the first cell per design. The `sync` table above it holds a
+//!    plan's whole fused sync-op cost vector, keyed by `(fabric
+//!    summary, worker plan)` — one lookup per cell instead of one per
+//!    op, with misses reading through the per-op table.
 //! 4. **Report assembly** — the lean event-loop replay
 //!    ([`assemble`](crate::IterationSim)), uncached: per-cell knobs
 //!    (compression, pinned-budget overrides) enter only here.
@@ -237,11 +240,12 @@ fn pipeline() -> &'static StagePipeline {
 
 /// Latency snapshots per pipeline section, in fixed display order:
 /// the six spanned stage tables (per-op `collective` lookups run
-/// inside the `sync` section and are not timed individually) plus the
-/// uncached `assemble` replay. Feeds the `mcdla_stage_seconds`
-/// Prometheus family on `GET /metrics`. Populated only while span
-/// recording is enabled (`mcdla_obs::set_enabled`, flipped on by the
-/// servers) — batch sweeps leave these empty by design.
+/// inside the `sync` section and are not timed individually; both are
+/// reached by flow-routed cells only) plus the uncached `assemble`
+/// replay. Feeds the `mcdla_stage_seconds` Prometheus family on
+/// `GET /metrics`. Populated only while span recording is enabled
+/// (`mcdla_obs::set_enabled`, flipped on by the servers) — batch sweeps
+/// leave these empty by design.
 pub fn stage_latency() -> Vec<(&'static str, HistogramSnapshot)> {
     let h = &pipeline().hists;
     vec![
@@ -381,39 +385,52 @@ pub fn simulate(scenario: &Scenario) -> IterationReport {
     // inline is cheaper than a table that would miss every time.
     let xfer = xfer_table(&sched, plan.stash_scale, cfg.compression_ratio, virt);
 
-    let sync_span = Span::enter_timed("stage.sync", &p.hists.sync);
-    let (sync, _) = p.syncs.get_or_compute(
-        SyncKey {
+    // Analytical collectives are a few float operations per ring —
+    // cheaper than any table lookup — so they are priced inline, behind
+    // the same silent-fabric check as the monolithic path. Only
+    // flow-routed collectives (one max-min drain each) are worth the
+    // two-level `sync` → `collective` tables.
+    let fab = &fabric.summary.fabric;
+    let silent = fab.ring_shapes().is_empty() || plan.workers < 2;
+    let routed_sync = scenario.topology.is_some().then(|| {
+        let _s = Span::enter_timed("stage.sync", &p.hists.sync);
+        let sync_key = SyncKey {
             fabric: fabric_key,
             plan: plan_key,
-        },
-        || {
-            let fab = &fabric.summary.fabric;
-            let silent = fab.ring_shapes().is_empty() || plan.workers < 2;
-            Arc::new(
-                plan.fused
-                    .iter()
-                    .map(|op| {
-                        if silent {
-                            return SimDuration::ZERO;
-                        }
-                        let key = CollKey {
-                            fabric: fabric_key,
-                            kind: op.kind,
-                            bytes: op.bytes,
-                        };
-                        p.collectives
-                            .get_or_compute(key, || {
-                                fab.collective_time(op.kind, Bytes::new(op.bytes))
-                            })
-                            .0
-                    })
-                    .collect(),
-            )
-        },
-    );
-    drop(sync_span);
-    let collective = |oi: usize| sync[oi];
+        };
+        p.syncs
+            .get_or_compute(sync_key, || {
+                Arc::new(
+                    plan.fused
+                        .iter()
+                        .map(|op| {
+                            if silent {
+                                return SimDuration::ZERO;
+                            }
+                            let key = CollKey {
+                                fabric: fabric_key,
+                                kind: op.kind,
+                                bytes: op.bytes,
+                            };
+                            p.collectives
+                                .get_or_compute(key, || {
+                                    fab.collective_time(op.kind, Bytes::new(op.bytes))
+                                })
+                                .0
+                        })
+                        .collect(),
+                )
+            })
+            .0
+    });
+    let collective = |oi: usize| match &routed_sync {
+        Some(sync) => sync[oi],
+        None if silent => SimDuration::ZERO,
+        None => {
+            let op = &plan.fused[oi];
+            fab.collective_time(op.kind, Bytes::new(op.bytes))
+        }
+    };
 
     let _s = Span::enter_timed("engine.assemble", &p.hists.assemble);
     assemble(
@@ -492,7 +509,8 @@ mod tests {
     #[test]
     fn data_parallel_plans_are_shared_across_batches() {
         // A data-parallel batch sweep normalizes the plan key, so after
-        // the first cell the plan (and sync) tables must hit, not miss.
+        // the first cell the plan table must hit, not miss (this cell is
+        // analytical, so the sync table must stay untouched).
         let warm = Scenario::new(
             SystemDesign::McDlaStar,
             Benchmark::ResNet,
