@@ -275,11 +275,7 @@ fn run_fleet(workers: usize, client_threads: usize, requests_per_thread: usize) 
     fleet.shutdown();
     let hits = hits_after.saturating_sub(hits_before);
     let misses = misses_after.saturating_sub(misses_before);
-    let pressure_hit_rate = if hits + misses > 0 {
-        hits as f64 / (hits + misses) as f64
-    } else {
-        0.0
-    };
+    let pressure_hit_rate = mcdla_obs::hit_rate(hits as f64, misses as f64);
 
     FleetRun {
         workers,

@@ -90,11 +90,7 @@ fn stage_delta(before: &[StageStats], after: &[StageStats]) -> Vec<StageStats> {
                 evictions: a.evictions - b.evictions,
                 entries: a.entries,
                 capacity: a.capacity,
-                hit_rate: if hits + misses > 0 {
-                    hits as f64 / (hits + misses) as f64
-                } else {
-                    0.0
-                },
+                hit_rate: mcdla_obs::hit_rate(hits as f64, misses as f64),
             }
         })
         .collect()

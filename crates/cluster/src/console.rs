@@ -313,11 +313,7 @@ fn render(frame: &Frame, interval: Duration, out: &mut dyn Write) -> std::io::Re
             .stages
             .iter()
             .map(|(name, h, m)| {
-                let rate = if h + m > 0 {
-                    *h as f64 / (h + m) as f64
-                } else {
-                    0.0
-                };
+                let rate = mcdla_obs::hit_rate(*h as f64, *m as f64);
                 format!("{name} {:.0}%", rate * 100.0)
             })
             .collect();

@@ -10,13 +10,13 @@
 
 use std::collections::BTreeSet;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use mcdla_obs::Sample;
 use mcdla_serve::client::Timeouts;
 use mcdla_serve::http::{finish_chunked, write_chunk, write_chunked_head_with, Request};
-use mcdla_serve::metrics::MetricsBuilder;
+use mcdla_serve::metrics::{Metric, MetricsBuilder};
 use mcdla_serve::tier::{self, Bound, Core, Lane, Outcome, Running, StreamOutcome, Tier, Window};
 use mcdla_serve::trace::{self, REQUEST_ID_HEADER};
 use mcdla_serve::{
@@ -27,7 +27,7 @@ use serde::Value;
 
 use crate::json::{get, FleetRings};
 use crate::merge::{partition_pending, scatter_buffered};
-use crate::router::{Router, WorkerState};
+use crate::router::Router;
 
 /// Idle keep-alive client connections are dropped after this long
 /// (same bound as the worker).
@@ -214,14 +214,6 @@ fn error_with_rid(status: u16, message: &str, rid: &str) -> Outcome {
     outcome
 }
 
-/// A per-worker family: `(name, help, kind, reader)`.
-type WorkerFamily = (
-    &'static str,
-    &'static str,
-    &'static str,
-    fn(&WorkerState) -> f64,
-);
-
 /// Locally answered endpoints (health, metrics, debug, 405/404) run on
 /// the loop thread; anything that makes a gateway→fleet round trip
 /// detaches to the worker pool.
@@ -240,6 +232,24 @@ impl Tier for GatewayTier {
     const GET_ROUTES: &'static [(&'static str, &'static str)] = &[
         ("/cluster/stats", "cluster_stats"),
         ("/cluster/history", "cluster_stats"),
+    ];
+    const COUNTERS_AT: &'static str = "gateway";
+    /// The router's counters and per-worker families; `worker_up` is
+    /// the health belief, never a scrape.
+    const METRICS: &'static [Metric] = &[
+        Metric::counter("gateway.failovers", "failovers_total")
+            .help("Requests or grid slices answered by a non-owner worker."),
+        Metric::counter("gateway.retries", "retries_total")
+            .help("Stale pooled-connection retries across all workers."),
+        Metric::gauge("workers[].up", "worker_up")
+            .help("Health belief per worker (1 = up).")
+            .by("worker", "addr"),
+        Metric::counter("workers[].answered", "worker_answered_total")
+            .help("Requests each worker answered for this gateway.")
+            .by("worker", "addr"),
+        Metric::counter("workers[].failures", "worker_failures_total")
+            .help("Errors observed against each worker (connect/read failures and 5xx).")
+            .by("worker", "addr"),
     ];
 
     type Tick = FleetTick;
@@ -468,52 +478,18 @@ impl Tier for GatewayTier {
         ));
     }
 
-    fn metrics(&self, b: &mut MetricsBuilder) {
-        let router = &self.router;
-        b.scalar(
-            "mcdla_gateway_failovers_total",
-            "Requests or grid slices answered by a non-owner worker.",
-            "counter",
-            router.failovers.load(Ordering::Relaxed) as f64,
-        );
-        b.scalar(
-            "mcdla_gateway_retries_total",
-            "Stale pooled-connection retries across all workers.",
-            "counter",
-            router.retries() as f64,
-        );
-        let families: [WorkerFamily; 3] = [
-            (
-                "mcdla_gateway_worker_up",
-                "Health belief per worker (1 = up).",
-                "gauge",
-                |w| if w.is_up() { 1.0 } else { 0.0 },
-            ),
-            (
-                "mcdla_gateway_worker_answered_total",
-                "Requests each worker answered for this gateway.",
-                "counter",
-                |w| w.answered.load(Ordering::Relaxed) as f64,
-            ),
-            (
-                "mcdla_gateway_worker_failures_total",
-                "Errors observed against each worker (connect/read failures and 5xx).",
-                "counter",
-                |w| w.failures.load(Ordering::Relaxed) as f64,
-            ),
-        ];
-        for (name, help, kind, read) in families {
-            b.family(name, help, kind);
-            for worker in router.workers() {
-                b.sample(name, &[("worker", worker.addr())], read(worker));
-            }
-        }
+    /// `/cluster/stats` as the gateway knows it without a scrape: no
+    /// `fleet` block, and each worker entry carries the health belief as
+    /// `up` and no `stats`.
+    fn stats(&self, core: &Core<Self>) -> Value {
+        self.stats_value(core, None, self.workers_value(None, true).0)
     }
 
     fn histograms(&self, b: &mut MetricsBuilder) {
-        b.histogram_family(
+        b.family(
             "mcdla_gateway_upstream_seconds",
             "Gateway->worker round-trip latency per upstream worker, seconds.",
+            "histogram",
         );
         for worker in self.router.workers() {
             b.histogram(
@@ -590,16 +566,13 @@ impl GatewayTier {
         }
     }
 
-    /// Scrapes `GET {path}` from every worker into `workers[]` entries:
-    /// `index`, `addr`, the `head` fields, `up`, then `key` → the parsed
-    /// body (`null` if it does not parse) or an `error`. Returns the
-    /// entries and how many workers answered 200.
-    fn scrape(
-        &self,
-        path: &str,
-        key: &str,
-        head: impl Fn(&WorkerState) -> Vec<(String, Value)>,
-    ) -> (Vec<Value>, u64) {
+    /// The `workers[]` entries: `index`, `addr`, the gateway's
+    /// `answered`/`failures` counters for the worker (with `counters`),
+    /// then `up`. A `scrape` of `(path, key)` sends `GET {path}` to every
+    /// worker and appends `key` → the parsed body (`null` if it does not
+    /// parse) or an `error`; without one, `up` is the router's health
+    /// belief. Returns the entries and how many workers answered 200.
+    fn workers_value(&self, scrape: Option<(&str, &str)>, counters: bool) -> (Vec<Value>, u64) {
         let mut entries = Vec::new();
         let mut up = 0u64;
         for (i, worker) in self.router.workers().iter().enumerate() {
@@ -607,7 +580,16 @@ impl GatewayTier {
                 ("index".into(), Value::U64(i as u64)),
                 ("addr".into(), Value::Str(worker.addr().to_owned())),
             ];
-            entry.extend(head(worker));
+            if counters {
+                let count = |n: &AtomicU64| Value::U64(n.load(Ordering::Relaxed));
+                entry.push(("answered".into(), count(&worker.answered)));
+                entry.push(("failures".into(), count(&worker.failures)));
+            }
+            let Some((path, key)) = scrape else {
+                entry.push(("up".into(), Value::Bool(worker.is_up())));
+                entries.push(Value::Map(entry));
+                continue;
+            };
             match worker.pool().request("GET", path, None) {
                 Ok(response) if response.status == 200 => {
                     worker.mark_up();
@@ -649,7 +631,7 @@ impl GatewayTier {
             Some(n) => format!("/metrics/history?last={n}"),
             None => "/metrics/history".to_owned(),
         };
-        let (workers, up) = self.scrape(&path, "history", |_| Vec::new());
+        let (workers, up) = self.workers_value(Some((&path, "history")), false);
         let histories: Vec<&Value> = workers
             .iter()
             .filter_map(|w| w.get("history"))
@@ -694,20 +676,8 @@ impl GatewayTier {
     /// `GET /cluster/stats`: gateway counters plus one `GET /stats`
     /// scrape of every worker, with fleet-wide store totals.
     fn cluster_stats(&self, core: &Core<Self>) -> Value {
+        let (workers, reachable) = self.workers_value(Some(("/stats", "stats")), true);
         let router = &self.router;
-        let counters = |w: &WorkerState| {
-            vec![
-                (
-                    "answered".into(),
-                    Value::U64(w.answered.load(Ordering::Relaxed)),
-                ),
-                (
-                    "failures".into(),
-                    Value::U64(w.failures.load(Ordering::Relaxed)),
-                ),
-            ]
-        };
-        let (workers, reachable) = self.scrape("/stats", "stats", counters);
         let mut fleet = vec![
             ("workers".into(), Value::U64(router.workers().len() as u64)),
             ("up".into(), Value::U64(reachable)),
@@ -719,23 +689,24 @@ impl GatewayTier {
                 .sum();
             (key.to_owned(), Value::U64(total))
         }));
+        self.stats_value(core, Some(Value::Map(fleet)), workers)
+    }
+
+    /// The `/cluster/stats` layout: identity, the `gateway` counters,
+    /// `fleet` (when scraped), then `workers`.
+    fn stats_value(&self, core: &Core<Self>, fleet: Option<Value>, workers: Vec<Value>) -> Value {
+        let router = &self.router;
+        let failovers = router.failovers.load(Ordering::Relaxed);
+        let gateway = vec![
+            ("requests".into(), core.requests_value()),
+            ("connections".into(), core.connections_value()),
+            ("failovers".into(), Value::U64(failovers)),
+            ("retries".into(), Value::U64(router.retries())),
+        ];
         let mut fields = core.identity();
-        fields.extend([
-            (
-                "gateway".into(),
-                Value::Map(vec![
-                    ("requests".into(), core.requests_value()),
-                    ("connections".into(), core.connections_value()),
-                    (
-                        "failovers".into(),
-                        Value::U64(router.failovers.load(Ordering::Relaxed)),
-                    ),
-                    ("retries".into(), Value::U64(router.retries())),
-                ]),
-            ),
-            ("fleet".into(), Value::Map(fleet)),
-            ("workers".into(), Value::Seq(workers)),
-        ]);
+        fields.push(("gateway".into(), Value::Map(gateway)));
+        fields.extend(fleet.map(|fleet| ("fleet".into(), fleet)));
+        fields.push(("workers".into(), Value::Seq(workers)));
         Value::Map(fields)
     }
 }

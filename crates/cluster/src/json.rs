@@ -72,7 +72,7 @@ impl FleetRings {
             hit_rate: hits_per_s
                 .iter()
                 .zip(&misses_per_s)
-                .map(|(h, m)| if h + m > 0.0 { h / (h + m) } else { 0.0 })
+                .map(|(&h, &m)| mcdla_obs::hit_rate(h, m))
                 .collect(),
             hits_per_s,
             misses_per_s,

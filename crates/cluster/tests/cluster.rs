@@ -12,6 +12,9 @@ use mcdla_serve::client::Connection;
 use mcdla_serve::{ServeConfig, Server};
 use serde::Value;
 
+#[path = "../../serve/tests/support/exposition.rs"]
+mod exposition;
+
 fn fleet(workers: usize) -> mcdla_cluster::LocalFleet {
     spawn_local_fleet(&FleetConfig {
         workers,
@@ -444,6 +447,63 @@ fn metrics_expose_gateway_and_worker_counters() {
     assert!(worker_metrics
         .body
         .contains("mcdla_requests_total{endpoint=\"metrics\"} 1"));
+
+    // Every gateway counter and gauge sample sits at its
+    // `/cluster/stats` key.
+    let mut conn = Connection::open(&addr).expect("open gateway");
+    let before = conn.request("GET", "/metrics", None).unwrap();
+    let stats = conn.request("GET", "/cluster/stats", None).unwrap();
+    let after = conn.request("GET", "/metrics", None).unwrap();
+    let stats = serde::json::parse(&stats.body).expect("cluster stats JSON");
+    // `/cluster/stats` runs on the pool, where the asking connection is
+    // detached from the event loop, so it counts one open connection
+    // fewer than `/metrics` (answered on the loop thread) does.
+    let open = |text: &str| -> f64 {
+        let line = text
+            .lines()
+            .find_map(|l| l.strip_prefix("mcdla_gateway_open_connections "));
+        line.expect("open_connections sample").parse().unwrap()
+    };
+    let stats_open = stats
+        .get("gateway")
+        .and_then(|g| g.get("connections"))
+        .and_then(|c| c.get("open"))
+        .and_then(Value::as_f64)
+        .expect("gateway.connections.open");
+    assert!(open(&after.body) <= stats_open + 1.0 && stats_open + 1.0 <= open(&before.body));
+    exposition::assert_metrics_match_stats(
+        "mcdla_gateway",
+        &before.body,
+        &stats,
+        &after.body,
+        &[
+            ("uptime_seconds", "uptime_seconds", ""),
+            ("requests_total", "gateway.requests[]", ""),
+            ("open_connections", "gateway.connections.open", ""),
+            (
+                "accepted_connections_total",
+                "gateway.connections.accepted",
+                "",
+            ),
+            ("requests_shed_total", "gateway.connections.shed", ""),
+            (
+                "request_timeouts_total",
+                "gateway.connections.request_timeouts",
+                "",
+            ),
+            (
+                "idle_connections_closed_total",
+                "gateway.connections.idle_closed",
+                "",
+            ),
+            ("failovers_total", "gateway.failovers", ""),
+            ("retries_total", "gateway.retries", ""),
+            ("worker_up", "workers[].up", "addr"),
+            ("worker_answered_total", "workers[].answered", "addr"),
+            ("worker_failures_total", "workers[].failures", "addr"),
+        ],
+        &["up", "open_connections"],
+    );
     fleet.shutdown();
 }
 

@@ -57,6 +57,8 @@ pub use energy::{EnergyReport, PowerModel};
 pub use engine::{AnalyticalFabric, CommFabric, FlowFabric, IterationSim};
 pub use mcdla_interconnect::FabricTopology;
 pub use report::IterationReport;
-pub use scenario::{DeviceModel, GridStream, Overrides, Runner, Scenario, ScenarioGrid, TimedRun};
+pub use scenario::{
+    default_threads, DeviceModel, GridStream, Overrides, Runner, Scenario, ScenarioGrid, TimedRun,
+};
 pub use store::{key_hash, Fetched, Provenance, ResultStore, StageCache, StageStats, StoreStats};
 pub use virt_path::VirtPath;

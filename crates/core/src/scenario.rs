@@ -33,7 +33,7 @@
 //! let first = runner.run(one);
 //! let again = runner.run(one); // memoized: no second simulation
 //! assert_eq!(first, again);
-//! assert_eq!(runner.cache_hits(), 1);
+//! assert_eq!(runner.store().hits(), 1);
 //! ```
 
 use std::hash::{Hash, Hasher};
@@ -745,33 +745,6 @@ impl Runner {
         &self.store
     }
 
-    /// Cells served from the memo cache so far (including requests
-    /// coalesced onto another caller's in-flight simulation).
-    pub fn cache_hits(&self) -> usize {
-        self.store.hits() as usize
-    }
-
-    /// Cells actually simulated so far.
-    pub fn cache_misses(&self) -> usize {
-        self.store.misses() as usize
-    }
-
-    /// Cells evicted from a capacity-bounded store so far.
-    pub fn cache_evictions(&self) -> usize {
-        self.store.evictions() as usize
-    }
-
-    /// Requests that blocked on another caller's in-flight simulation of
-    /// the same cell (the single-flight dedup counter).
-    pub fn dedup_waits(&self) -> usize {
-        self.store.dedup_waits() as usize
-    }
-
-    /// Distinct cells currently memoized.
-    pub fn cache_len(&self) -> usize {
-        self.store.len()
-    }
-
     /// Runs one cell, memoized and single-flighted through the store.
     pub fn run(&self, scenario: Scenario) -> IterationReport {
         self.store
@@ -960,7 +933,9 @@ impl Drop for GridStream {
     }
 }
 
-fn default_threads() -> usize {
+/// The default simulation thread count: `MCDLA_THREADS` when set to a
+/// positive integer, else the machine's available parallelism.
+pub fn default_threads() -> usize {
     threads_from(std::env::var("MCDLA_THREADS").ok().as_deref())
 }
 
@@ -1319,8 +1294,8 @@ mod tests {
         let out = runner.run_grid(&[s, s, s]);
         assert_eq!(out.len(), 3);
         assert_eq!(out[0], out[1]);
-        assert_eq!(runner.cache_misses(), 1);
-        assert_eq!(runner.cache_hits(), 2);
+        assert_eq!(runner.store().misses(), 1);
+        assert_eq!(runner.store().hits(), 2);
     }
 
     #[test]
@@ -1374,7 +1349,7 @@ mod tests {
         drop(stream);
         // The runner (and its store) remain usable.
         let _ = runner.run(cell());
-        assert!(runner.cache_misses() >= 1);
+        assert!(runner.store().misses() >= 1);
     }
 
     #[test]

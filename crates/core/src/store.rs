@@ -441,11 +441,7 @@ impl<K: Copy + Eq + Hash, V: Clone> StageCache<K, V> {
             evictions: self.evictions(),
             entries: self.len() as u64,
             capacity: self.capacity.map(|c| c as u64),
-            hit_rate: if hits + misses > 0 {
-                hits as f64 / (hits + misses) as f64
-            } else {
-                0.0
-            },
+            hit_rate: mcdla_obs::hit_rate(hits as f64, misses as f64),
         }
     }
 
@@ -750,11 +746,7 @@ impl ResultStore {
             entries,
             capacity: self.capacity().map(|c| c as u64),
             warm_loaded: self.warm_loaded(),
-            hit_rate: if hits + misses > 0 {
-                hits as f64 / (hits + misses) as f64
-            } else {
-                0.0
-            },
+            hit_rate: mcdla_obs::hit_rate(hits as f64, misses as f64),
             shards: shard_entries.len() as u64,
             shard_imbalance: if entries > 0 {
                 max_shard as f64 * shard_entries.len() as f64 / entries as f64

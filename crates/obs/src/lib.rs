@@ -93,6 +93,16 @@ pub fn request_id() -> String {
     format!("{:016x}", splitmix64(process_seed() ^ n))
 }
 
+/// `hits / (hits + misses)`, or 0 before any traffic — the one hit-rate
+/// formula behind every cache counter, rate, and fleet sum.
+pub fn hit_rate(hits: f64, misses: f64) -> f64 {
+    if hits + misses > 0.0 {
+        hits / (hits + misses)
+    } else {
+        0.0
+    }
+}
+
 /// Whether `s` is acceptable as a propagated request id: 1–64
 /// characters from `[A-Za-z0-9._-]`. Anything else (huge values,
 /// whitespace, JSON-breaking bytes) is discarded at the edge and

@@ -1,11 +1,82 @@
 //! Prometheus text-exposition rendering (format version 0.0.4) for the
 //! worker's and the gateway's `GET /metrics` endpoints — counters,
 //! gauges, and (since the `mcdla-obs` layer) latency histograms.
+//!
+//! Counters and gauges are declared once, as [`Metric`] rows keyed by
+//! their path in the tier's stats [`Value`] (the `/stats` body), and
+//! [`MetricsBuilder::table`] reads their numbers out of that value.
 
 use mcdla_obs::HistogramSnapshot;
+use serde::Value;
 
 /// The `content-type` a Prometheus scrape expects.
 pub const CONTENT_TYPE: &str = "text/plain; version=0.0.4";
+
+/// One counter or gauge family, declared against a tier's stats
+/// [`Value`]: `/metrics` reads the number at `path` out of the same
+/// value `/stats` serves, so the two cannot drift apart. `path` is a
+/// dotted key path; one `[]` segment in it (`store.stages[].hits`) fans
+/// out over the array (or map) there, one sample per element, labelled
+/// as [`Metric::by`] says. `name` follows the tier's metric prefix.
+#[derive(Debug, Clone, Copy)]
+pub struct Metric {
+    path: &'static str,
+    name: &'static str,
+    help: &'static str,
+    kind: &'static str,
+    label: (&'static str, &'static str),
+}
+
+impl Metric {
+    /// A monotone counter family at `path`; add its `# HELP` text with
+    /// [`Metric::help`].
+    pub const fn counter(path: &'static str, name: &'static str) -> Self {
+        Metric {
+            path,
+            name,
+            help: "",
+            kind: "counter",
+            label: ("", ""),
+        }
+    }
+
+    /// A gauge family at `path`.
+    pub const fn gauge(path: &'static str, name: &'static str) -> Self {
+        Metric {
+            kind: "gauge",
+            ..Metric::counter(path, name)
+        }
+    }
+
+    /// Sets the `# HELP` text.
+    pub const fn help(self, help: &'static str) -> Self {
+        Metric { help, ..self }
+    }
+
+    /// Labels each sample of a `[]` path `label="<element's key>"` (a
+    /// map entry by its own key).
+    pub const fn by(self, label: &'static str, key: &'static str) -> Self {
+        Metric {
+            label: (label, key),
+            ..self
+        }
+    }
+}
+
+/// The value at a dotted path (`""` is `value` itself).
+pub(crate) fn at<'a>(value: &'a Value, path: &str) -> Option<&'a Value> {
+    path.split('.')
+        .filter(|key| !key.is_empty())
+        .try_fold(value, |v, key| v.get(key))
+}
+
+/// The number at a dotted path: any JSON number, or a boolean as 1/0.
+fn number(value: &Value, path: &str) -> Option<f64> {
+    match at(value, path)? {
+        Value::Bool(b) => Some(f64::from(u8::from(*b))),
+        v => v.as_f64(),
+    }
+}
 
 /// Accumulates one exposition document: `# HELP`/`# TYPE` headers
 /// followed by sample lines, family by family.
@@ -67,21 +138,42 @@ impl MetricsBuilder {
         self
     }
 
-    /// A one-sample family (header + single unlabeled line).
-    pub fn scalar(&mut self, name: &str, help: &str, kind: &str, value: f64) -> &mut Self {
-        self.family(name, help, kind);
-        self.sample(name, &[], value)
+    /// Renders each row of `table` as the family `{prefix}_{name}`,
+    /// reading its numbers out of `stats`. A `[]` path emits one
+    /// labelled sample per element; a `null` number omits its family
+    /// (or, under `[]`, its sample).
+    pub fn table(&mut self, prefix: &str, table: &[Metric], stats: &Value) -> &mut Self {
+        for m in table {
+            let name = format!("{prefix}_{}", m.name);
+            let Some((head, tail)) = m.path.split_once("[]") else {
+                if let Some(v) = number(stats, m.path) {
+                    self.family(&name, m.help, m.kind).sample(&name, &[], v);
+                }
+                continue;
+            };
+            let (label, key) = m.label;
+            let elements: Vec<(&str, &Value)> = match at(stats, head) {
+                Some(Value::Seq(items)) => items
+                    .iter()
+                    .map(|e| (e.get(key).and_then(Value::as_str).unwrap_or(""), e))
+                    .collect(),
+                Some(Value::Map(entries)) => entries.iter().map(|(k, e)| (k.as_str(), e)).collect(),
+                _ => continue,
+            };
+            self.family(&name, m.help, m.kind);
+            for (value, element) in elements {
+                if let Some(v) = number(element, tail) {
+                    self.sample(&name, &[(label, value)], v);
+                }
+            }
+        }
+        self
     }
 
-    /// Starts a `histogram` family; follow with
-    /// [`MetricsBuilder::histogram`] calls for each label set.
-    pub fn histogram_family(&mut self, name: &str, help: &str) -> &mut Self {
-        self.family(name, help, "histogram")
-    }
-
-    /// One histogram series: cumulative `{name}_bucket{le=...}` lines
-    /// in ascending `le` order (ending at `le="+Inf"`, whose count
-    /// equals `{name}_count`), then `{name}_sum` and `{name}_count`.
+    /// One series of a `histogram` family: cumulative
+    /// `{name}_bucket{le=...}` lines in ascending `le` order (ending at
+    /// `le="+Inf"`, whose count equals `{name}_count`), then `{name}_sum`
+    /// and `{name}_count`.
     pub fn histogram(
         &mut self,
         name: &str,
@@ -125,12 +217,47 @@ mod tests {
         b.family("x_total", "things", "counter");
         b.sample("x_total", &[("endpoint", "simulate")], 3.0);
         b.sample("x_total", &[("endpoint", "a\"b\\c")], 1.5);
-        b.scalar("up", "liveness", "gauge", 1.0);
+        b.family("up", "liveness", "gauge").sample("up", &[], 1.0);
         let text = b.finish();
         assert!(text.contains("# HELP x_total things\n# TYPE x_total counter\n"));
         assert!(text.contains("x_total{endpoint=\"simulate\"} 3\n"));
         assert!(text.contains("x_total{endpoint=\"a\\\"b\\\\c\"} 1.5\n"));
         assert!(text.ends_with("up 1\n"));
+    }
+
+    #[test]
+    fn tables_fan_out_arrays_and_omit_nulls() {
+        let stats = serde::json::parse(
+            r#"{"store": {"hits": 3, "capacity": null, "up": true,
+                "stages": [{"stage": "fabric", "hits": 5}, {"stage": "plan", "hits": 0}],
+                "requests": {"simulate": 2, "errors": 1}}}"#,
+        )
+        .unwrap();
+        let mut b = MetricsBuilder::new();
+        b.table(
+            "p",
+            &[
+                Metric::counter("store.hits", "hits_total").help("h"),
+                Metric::gauge("store.capacity", "capacity").help("c"),
+                Metric::gauge("store.up", "up").help("u"),
+                Metric::counter("store.stages[].hits", "stage_hits_total")
+                    .help("s")
+                    .by("stage", "stage"),
+                Metric::counter("store.requests[]", "requests_total")
+                    .help("r")
+                    .by("endpoint", ""),
+            ],
+            &stats,
+        );
+        assert_eq!(
+            b.finish(),
+            "# HELP p_hits_total h\n# TYPE p_hits_total counter\np_hits_total 3\n\
+             # HELP p_up u\n# TYPE p_up gauge\np_up 1\n\
+             # HELP p_stage_hits_total s\n# TYPE p_stage_hits_total counter\n\
+             p_stage_hits_total{stage=\"fabric\"} 5\np_stage_hits_total{stage=\"plan\"} 0\n\
+             # HELP p_requests_total r\n# TYPE p_requests_total counter\n\
+             p_requests_total{endpoint=\"simulate\"} 2\np_requests_total{endpoint=\"errors\"} 1\n"
+        );
     }
 
     #[test]
@@ -141,7 +268,7 @@ mod tests {
         h.observe(0.3);
         h.observe(1e9); // +Inf bucket
         let mut b = MetricsBuilder::new();
-        b.histogram_family("lat_seconds", "latency");
+        b.family("lat_seconds", "latency", "histogram");
         b.histogram("lat_seconds", &[("endpoint", "simulate")], &h.snapshot());
         let text = b.finish();
         assert!(text.contains("# TYPE lat_seconds histogram\n"));

@@ -10,16 +10,16 @@ use std::time::Duration;
 
 use mcdla_accel::DeviceGeneration;
 use mcdla_core::{
-    FabricTopology, Overrides, Provenance, ResultStore, Runner, Scenario, ScenarioGrid, StageCache,
-    StageStats, StoreStats, SystemDesign,
+    default_threads, FabricTopology, Overrides, Provenance, ResultStore, Runner, Scenario,
+    ScenarioGrid, StageCache, StoreStats, SystemDesign,
 };
 use mcdla_dnn::Benchmark;
-use mcdla_obs::{Sample, Span};
+use mcdla_obs::{hit_rate, Sample, Span};
 use mcdla_parallel::ParallelStrategy;
 use serde::{Deserialize, Serialize, Value};
 
 use crate::http::{finish_chunked, write_chunk, write_chunked_head_with, Request};
-use crate::metrics::MetricsBuilder;
+use crate::metrics::{Metric, MetricsBuilder};
 use crate::tier::{
     self, parse_body, Bound, Core, Lane, Outcome, Running, StreamOutcome, Tier, Window,
 };
@@ -191,9 +191,8 @@ impl Server {
         // Simulation threads follow the batch runner's default
         // (MCDLA_THREADS or machine parallelism) — the event loop's
         // worker pool is a separate resource.
-        let sim_threads = Runner::new().threads();
         let worker = WorkerTier {
-            runner: Runner::with_store(sim_threads, store.clone()),
+            runner: Runner::with_store(default_threads(), store.clone()),
             store,
             snapshot: config.snapshot.clone(),
             snapshot_write: Mutex::new(()),
@@ -254,23 +253,6 @@ impl ServerHandle {
     }
 }
 
-/// `hits / (hits + misses)`, or 0 before any traffic.
-fn hit_rate(hits: f64, misses: f64) -> f64 {
-    if hits + misses > 0.0 {
-        hits / (hits + misses)
-    } else {
-        0.0
-    }
-}
-
-/// A family per stage-table counter: `(name, help, kind, reader)`.
-type StageFamily = (
-    &'static str,
-    &'static str,
-    &'static str,
-    fn(&StageStats) -> u64,
-);
-
 /// Cheap endpoints and cache hits answer on the loop thread;
 /// simulation and streaming detach to the pool.
 impl Tier for WorkerTier {
@@ -280,6 +262,34 @@ impl Tier for WorkerTier {
     const ENDPOINTS: &'static [&'static str] =
         &["healthz", "stats", "metrics", "simulate", "grid", "debug"];
     const GET_ROUTES: &'static [(&'static str, &'static str)] = &[("/stats", "stats")];
+    const COUNTERS_AT: &'static str = "";
+    /// The result-store counters and gauges and the per-stage tables.
+    const METRICS: &'static [Metric] = &[
+        Metric::counter("store.hits", "store_hits_total")
+            .help("Requests answered from the result cache (including coalesced waiters)."),
+        Metric::counter("store.misses", "store_misses_total").help("Cells actually simulated."),
+        Metric::counter("store.evictions", "store_evictions_total")
+            .help("Entries evicted to stay within the capacity bound."),
+        Metric::counter("store.dedup_waits", "store_dedup_waits_total")
+            .help("Requests that coalesced onto another caller's in-flight simulation."),
+        Metric::gauge("store.in_flight", "store_in_flight")
+            .help("Simulations executing right now."),
+        Metric::gauge("store.entries", "store_entries").help("Distinct cells currently resident."),
+        Metric::gauge("store.capacity", "store_capacity")
+            .help("Configured result-store capacity bound."),
+        Metric::counter("store.stages[].hits", "stage_hits_total")
+            .help("Staged-engine memo-table lookups answered from the table, by stage.")
+            .by("stage", "stage"),
+        Metric::counter("store.stages[].misses", "stage_misses_total")
+            .help("Staged-engine artifacts actually built, by stage.")
+            .by("stage", "stage"),
+        Metric::counter("store.stages[].evictions", "stage_evictions_total")
+            .help("Staged-engine memo entries evicted to stay within each table's bound.")
+            .by("stage", "stage"),
+        Metric::gauge("store.stages[].entries", "stage_entries")
+            .help("Staged-engine artifacts currently resident, by stage.")
+            .by("stage", "stage"),
+    ];
 
     type Tick = StoreStats;
 
@@ -339,27 +349,7 @@ impl Tier for WorkerTier {
         _rid: &str,
     ) -> Option<Outcome> {
         Some(match path {
-            "/stats" => {
-                let recorder = core.recorder();
-                let mut fields = core.identity();
-                fields.extend([
-                    (
-                        "simulation_threads".into(),
-                        Value::U64(self.runner.threads() as u64),
-                    ),
-                    ("store".into(), self.store.stats().to_value()),
-                    ("requests".into(), core.requests_value()),
-                    ("connections".into(), core.connections_value()),
-                    (
-                        "recorder".into(),
-                        Value::Map(vec![
-                            ("capacity".into(), Value::U64(recorder.capacity() as u64)),
-                            ("recorded".into(), Value::U64(recorder.len() as u64)),
-                        ]),
-                    ),
-                ]);
-                Outcome::ok(serde::json::to_string_pretty(&Value::Map(fields)))
-            }
+            "/stats" => Outcome::ok(serde::json::to_string_pretty(&self.stats(core))),
             "/simulate" => self.simulate(&request.body),
             "/grid" => self.grid(&request.body),
             _ => return None,
@@ -440,96 +430,34 @@ impl Tier for WorkerTier {
         w.process(out);
     }
 
-    /// The result-store counters and gauges and the per-stage tables —
-    /// the numbers `GET /stats` reports as JSON.
-    fn metrics(&self, b: &mut MetricsBuilder) {
-        let stats = self.store.stats();
-        for (name, help, kind, value) in [
+    /// The `GET /stats` body.
+    fn stats(&self, core: &Core<Self>) -> Value {
+        let recorder = core.recorder();
+        let mut fields = core.identity();
+        fields.extend([
             (
-                "mcdla_store_hits_total",
-                "Requests answered from the result cache (including coalesced waiters).",
-                "counter",
-                stats.hits,
+                "simulation_threads".into(),
+                Value::U64(self.runner.threads() as u64),
             ),
+            ("store".into(), self.store.stats().to_value()),
+            ("requests".into(), core.requests_value()),
+            ("connections".into(), core.connections_value()),
             (
-                "mcdla_store_misses_total",
-                "Cells actually simulated.",
-                "counter",
-                stats.misses,
+                "recorder".into(),
+                Value::Map(vec![
+                    ("capacity".into(), Value::U64(recorder.capacity() as u64)),
+                    ("recorded".into(), Value::U64(recorder.len() as u64)),
+                ]),
             ),
-            (
-                "mcdla_store_evictions_total",
-                "Entries evicted to stay within the capacity bound.",
-                "counter",
-                stats.evictions,
-            ),
-            (
-                "mcdla_store_dedup_waits_total",
-                "Requests that coalesced onto another caller's in-flight simulation.",
-                "counter",
-                stats.dedup_waits,
-            ),
-            (
-                "mcdla_store_in_flight",
-                "Simulations executing right now.",
-                "gauge",
-                stats.in_flight,
-            ),
-            (
-                "mcdla_store_entries",
-                "Distinct cells currently resident.",
-                "gauge",
-                stats.entries,
-            ),
-        ] {
-            b.scalar(name, help, kind, value as f64);
-        }
-        if let Some(capacity) = stats.capacity {
-            b.scalar(
-                "mcdla_store_capacity",
-                "Configured result-store capacity bound.",
-                "gauge",
-                capacity as f64,
-            );
-        }
-        let families: [StageFamily; 4] = [
-            (
-                "mcdla_stage_hits_total",
-                "Staged-engine memo-table lookups answered from the table, by stage.",
-                "counter",
-                |s| s.hits,
-            ),
-            (
-                "mcdla_stage_misses_total",
-                "Staged-engine artifacts actually built, by stage.",
-                "counter",
-                |s| s.misses,
-            ),
-            (
-                "mcdla_stage_evictions_total",
-                "Staged-engine memo entries evicted to stay within each table's bound.",
-                "counter",
-                |s| s.evictions,
-            ),
-            (
-                "mcdla_stage_entries",
-                "Staged-engine artifacts currently resident, by stage.",
-                "gauge",
-                |s| s.entries,
-            ),
-        ];
-        for (name, help, kind, read) in families {
-            b.family(name, help, kind);
-            for stage in &stats.stages {
-                b.sample(name, &[("stage", &stage.stage)], read(stage) as f64);
-            }
-        }
+        ]);
+        Value::Map(fields)
     }
 
     fn histograms(&self, b: &mut MetricsBuilder) {
-        b.histogram_family(
+        b.family(
             "mcdla_stage_seconds",
             "Staged-engine section latency (lookup plus compute on miss), by stage, seconds.",
+            "histogram",
         );
         for (stage, snap) in mcdla_core::stages::stage_latency() {
             b.histogram("mcdla_stage_seconds", &[("stage", stage)], &snap);

@@ -13,10 +13,11 @@
 //!
 //! A [`Tier`] supplies only what differs: its service name, log target
 //! and metric prefix, its endpoint label table, its own routes and
-//! `stream_grid`, and its extra `/healthz` fields, metric families and
-//! history series. Dispatch is static (`Core<T>` is generic over the
-//! tier), so the worker's loop-thread `/simulate` hit path pays no
-//! virtual call.
+//! `stream_grid`, its stats value and the table of counter and gauge
+//! families read out of it, and its extra `/healthz` fields, histogram
+//! families and history series. Dispatch is static (`Core<T>` is
+//! generic over the tier), so the worker's loop-thread `/simulate` hit
+//! path pays no virtual call.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -35,7 +36,7 @@ use crate::accept::{spawn_event_loop, FastAnswer, LoopConfig, LoopHandle, LoopSt
 use crate::http::{
     error_body, query_flag, query_param, split_target, write_response_with, Request, WireError,
 };
-use crate::metrics::{MetricsBuilder, CONTENT_TYPE};
+use crate::metrics::{at, Metric, MetricsBuilder, CONTENT_TYPE};
 use crate::trace::{self, REQUEST_ID_HEADER};
 
 /// What one serving tier plugs into the shared [`Core`].
@@ -51,6 +52,12 @@ pub trait Tier: Sized + Send + Sync + std::fmt::Debug + 'static {
     const ENDPOINTS: &'static [&'static str];
     /// The tier's own `GET` routes and the label each counts under.
     const GET_ROUTES: &'static [(&'static str, &'static str)];
+    /// Where [`Tier::stats`] keeps the `requests` and `connections` maps
+    /// (`""`: the top level).
+    const COUNTERS_AT: &'static str;
+    /// The tier's counter and gauge families, read out of
+    /// [`Tier::stats`] after the event-loop families.
+    const METRICS: &'static [Metric];
 
     /// Tier counters one sampler tick snapshots.
     type Tick: Send + 'static;
@@ -90,8 +97,9 @@ pub trait Tier: Sized + Send + Sync + std::fmt::Debug + 'static {
     /// Appends tier fields to the `/healthz` body.
     fn healthz(&self, _fields: &mut Vec<(String, Value)>) {}
 
-    /// Tier metric families, rendered after the event-loop counters.
-    fn metrics(&self, _b: &mut MetricsBuilder) {}
+    /// The tier's own numbers as its stats body keys them: what
+    /// `/metrics` reads. Never makes a round trip to another process.
+    fn stats(&self, core: &Core<Self>) -> Value;
 
     /// Tier histogram families, rendered after `request_seconds`.
     fn histograms(&self, _b: &mut MetricsBuilder) {}
@@ -104,6 +112,29 @@ pub trait Tier: Sized + Send + Sync + std::fmt::Debug + 'static {
         Value::Null
     }
 }
+
+/// The uptime gauge, read from the `uptime_seconds` every stats body
+/// opens with (see [`Core::identity`]).
+const UPTIME: Metric =
+    Metric::gauge("uptime_seconds", "uptime_seconds").help("Seconds since this server started.");
+
+/// The request and event-loop families, read from the `requests` and
+/// `connections` maps at [`Tier::COUNTERS_AT`].
+const LOOP_METRICS: &[Metric] = &[
+    Metric::counter("requests[]", "requests_total")
+        .help("Requests handled, by endpoint (`errors` counts 4xx/5xx answers).")
+        .by("endpoint", ""),
+    Metric::gauge("connections.open", "open_connections")
+        .help("Connections attached to the event loop right now."),
+    Metric::counter("connections.accepted", "accepted_connections_total")
+        .help("Connections accepted since start."),
+    Metric::counter("connections.shed", "requests_shed_total")
+        .help("Requests answered 429 because the admission queue was full."),
+    Metric::counter("connections.request_timeouts", "request_timeouts_total")
+        .help("Requests answered 408 after stalling mid-head or mid-body."),
+    Metric::counter("connections.idle_closed", "idle_connections_closed_total")
+        .help("Idle keep-alive connections closed silently."),
+];
 
 /// Where the loop thread sends a request (see [`Tier::lane`]).
 #[derive(Debug)]
@@ -543,20 +574,12 @@ impl<T: Tier> Core<T> {
     /// Renders `GET /metrics`: the shared families around the tier's.
     fn metrics_text(&self) -> String {
         let p = T::PREFIX;
-        let s = &self.loop_stats;
+        let stats = self.tier.stats(self);
         let mut b = MetricsBuilder::new();
-        b.scalar(
-            &format!("{p}_up"),
-            "Whether this server is serving.",
-            "gauge",
-            1.0,
-        );
-        b.scalar(
-            &format!("{p}_uptime_seconds"),
-            "Seconds since this server started.",
-            "gauge",
-            self.started.elapsed().as_secs_f64(),
-        );
+        let up = format!("{p}_up");
+        b.family(&up, "Whether this server is serving.", "gauge")
+            .sample(&up, &[], 1.0);
+        b.table(p, &[UPTIME], &stats);
         b.family(
             "mcdla_build_info",
             "Build metadata as labels (constant 1).",
@@ -570,52 +593,16 @@ impl<T: Tier> Core<T> {
             ],
             1.0,
         );
-        let requests = format!("{p}_requests_total");
-        b.family(
-            &requests,
-            "Requests handled, by endpoint (`errors` counts 4xx/5xx answers).",
-            "counter",
-        );
-        for (endpoint, count) in self.endpoints.counts() {
-            b.sample(&requests, &[("endpoint", endpoint)], count as f64);
+        if let Some(counters) = at(&stats, T::COUNTERS_AT) {
+            b.table(p, LOOP_METRICS, counters);
         }
-        for (name, help, kind, value) in [
-            (
-                "open_connections",
-                "Connections attached to the event loop right now.",
-                "gauge",
-                s.open(),
-            ),
-            (
-                "accepted_connections_total",
-                "Connections accepted since start.",
-                "counter",
-                s.accepted(),
-            ),
-            (
-                "requests_shed_total",
-                "Requests answered 429 because the admission queue was full.",
-                "counter",
-                s.shed(),
-            ),
-            (
-                "request_timeouts_total",
-                "Requests answered 408 after stalling mid-head or mid-body.",
-                "counter",
-                s.request_timeouts(),
-            ),
-            (
-                "idle_connections_closed_total",
-                "Idle keep-alive connections closed silently.",
-                "counter",
-                s.idle_closed(),
-            ),
-        ] {
-            b.scalar(&format!("{p}_{name}"), help, kind, value as f64);
-        }
-        self.tier.metrics(&mut b);
+        b.table(p, T::METRICS, &stats);
         let seconds = format!("{p}_request_seconds");
-        b.histogram_family(&seconds, "Request latency by endpoint, seconds.");
+        b.family(
+            &seconds,
+            "Request latency by endpoint, seconds.",
+            "histogram",
+        );
         for (endpoint, snap) in self.endpoints.latency() {
             b.histogram(&seconds, &[("endpoint", endpoint)], &snap);
         }

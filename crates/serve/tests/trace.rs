@@ -11,12 +11,17 @@ use mcdla_serve::client::Connection;
 use mcdla_serve::{ServeConfig, Server, ServerHandle};
 use serde::Value;
 
+#[path = "support/exposition.rs"]
+mod exposition;
+
 const RID_HEADER: &str = "x-mcdla-request-id";
 
 /// A scenario no other test in this binary touches, so its first
 /// `/simulate` is a genuine cold cell.
 const CELL: &str =
     r#"{"design":"McDlaBwAware","benchmark":"GoogLeNet","strategy":"DataParallel","batch":272}"#;
+
+const DCDLA_ALEXNET: &str = r#"{"design":"DcDla","benchmark":"AlexNet","strategy":"DataParallel"}"#;
 
 fn start() -> (ServerHandle, String) {
     let server = Server::bind(&ServeConfig {
@@ -200,11 +205,7 @@ fn metrics_expose_request_and_stage_histograms() {
     let mut conn = Connection::open(&addr).expect("open");
     // One request so the simulate endpoint histogram has a count.
     let resp = conn
-        .request(
-            "POST",
-            "/simulate",
-            Some(r#"{"design":"DcDla","benchmark":"AlexNet","strategy":"DataParallel"}"#),
-        )
+        .request("POST", "/simulate", Some(DCDLA_ALEXNET))
         .expect("simulate");
     assert_eq!(resp.status, 200, "{}", resp.body);
 
@@ -238,6 +239,47 @@ fn metrics_expose_request_and_stage_histograms() {
     let stats = conn.request("GET", "/stats", None).expect("stats");
     assert!(stats.body.contains("uptime_seconds"), "{}", stats.body);
     assert!(stats.body.contains("\"recorder\""), "{}", stats.body);
+
+    // Two hits on top of the miss, so hits and misses differ; then every
+    // counter and gauge sample must sit at its `/stats` key.
+    for _ in 0..2 {
+        let hit = conn.request("POST", "/simulate", Some(DCDLA_ALEXNET));
+        assert_eq!(hit.expect("simulate").status, 200);
+    }
+    let before = conn.request("GET", "/metrics", None).expect("metrics");
+    let stats = conn.request("GET", "/stats", None).expect("stats");
+    let after = conn.request("GET", "/metrics", None).expect("metrics");
+    exposition::assert_metrics_match_stats(
+        "mcdla",
+        &before.body,
+        &serde::json::parse(&stats.body).expect("stats JSON"),
+        &after.body,
+        &[
+            ("uptime_seconds", "uptime_seconds", ""),
+            ("requests_total", "requests[]", ""),
+            ("open_connections", "connections.open", ""),
+            ("accepted_connections_total", "connections.accepted", ""),
+            ("requests_shed_total", "connections.shed", ""),
+            ("request_timeouts_total", "connections.request_timeouts", ""),
+            (
+                "idle_connections_closed_total",
+                "connections.idle_closed",
+                "",
+            ),
+            ("store_hits_total", "store.hits", ""),
+            ("store_misses_total", "store.misses", ""),
+            ("store_evictions_total", "store.evictions", ""),
+            ("store_dedup_waits_total", "store.dedup_waits", ""),
+            ("store_in_flight", "store.in_flight", ""),
+            ("store_entries", "store.entries", ""),
+            ("store_capacity", "store.capacity", ""),
+            ("stage_hits_total", "store.stages[].hits", "stage"),
+            ("stage_misses_total", "store.stages[].misses", "stage"),
+            ("stage_evictions_total", "store.stages[].evictions", "stage"),
+            ("stage_entries", "store.stages[].entries", "stage"),
+        ],
+        &["up", "build_info"],
+    );
 
     handle.shutdown();
 }

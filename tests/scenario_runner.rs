@@ -114,17 +114,21 @@ fn cache_serves_repeat_cells_without_resimulating() {
         ParallelStrategy::DataParallel,
     );
     let a = runner.run(s);
-    assert_eq!(runner.cache_misses(), 1);
-    assert_eq!(runner.cache_hits(), 0);
+    assert_eq!(runner.store().misses(), 1);
+    assert_eq!(runner.store().hits(), 0);
     let b = runner.run(s);
-    assert_eq!(runner.cache_misses(), 1, "second run must not simulate");
-    assert_eq!(runner.cache_hits(), 1);
+    assert_eq!(runner.store().misses(), 1, "second run must not simulate");
+    assert_eq!(runner.store().hits(), 1);
     assert_eq!(a, b);
     // A grid containing the cell also hits the cache.
     let grid = runner.run_grid(&[s, s.with_batch(128), s]);
     assert_eq!(grid[0], a);
     assert_eq!(grid[2], a);
-    assert_eq!(runner.cache_misses(), 2, "only the new batch-128 cell runs");
+    assert_eq!(
+        runner.store().misses(),
+        2,
+        "only the new batch-128 cell runs"
+    );
 }
 
 #[test]
@@ -162,10 +166,10 @@ fn global_runner_memoizes_across_experiment_calls() {
     // the shared cache holds each cell once and the second figure's cells
     // were all hits.
     let _ = experiment::fig13(ParallelStrategy::DataParallel);
-    let misses_after_fig13 = global_runner().cache_misses();
+    let misses_after_fig13 = global_runner().store().misses();
     let _ = experiment::fig11(ParallelStrategy::DataParallel);
     assert_eq!(
-        global_runner().cache_misses(),
+        global_runner().store().misses(),
         misses_after_fig13,
         "fig11 re-simulated cells fig13 already ran"
     );
@@ -186,14 +190,14 @@ fn runners_share_a_store_and_bounded_stores_evict() {
 
     let first = a.run(cells[0]);
     assert_eq!(b.run(cells[0]), first, "store is shared across runners");
-    assert_eq!(b.cache_hits(), 1);
-    assert_eq!(b.cache_misses(), 1);
+    assert_eq!(b.store().hits(), 1);
+    assert_eq!(b.store().misses(), 1);
 
     // Two more distinct cells through a 2-cap store: something evicts.
     let _ = a.run(cells[1]);
     let _ = a.run(cells[2]);
-    assert!(a.cache_len() <= 2, "cap 2 exceeded: {}", a.cache_len());
-    assert!(a.cache_evictions() >= 1);
+    assert!(a.store().len() <= 2, "cap 2 exceeded: {}", a.store().len());
+    assert!(a.store().evictions() >= 1);
     // The evicted cell re-simulates on the next request.
     let again = a.run(cells[0]);
     assert_eq!(again, first, "re-simulated cell must be bit-identical");
@@ -214,8 +218,8 @@ fn store_snapshot_warms_a_fresh_runner() {
     assert_eq!(warmed.restore_json(&snapshot), Ok(1));
     let cold = Runner::with_store(1, warmed);
     assert_eq!(cold.run(s), report, "warm-started cell must be identical");
-    assert_eq!(cold.cache_misses(), 0, "warm start must not re-simulate");
-    assert_eq!(cold.cache_hits(), 1);
+    assert_eq!(cold.store().misses(), 0, "warm start must not re-simulate");
+    assert_eq!(cold.store().hits(), 1);
 }
 
 #[test]
